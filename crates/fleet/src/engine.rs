@@ -1,6 +1,5 @@
 //! The fleet engine: thousands of simulated servers sharded across
-//! workers, advanced through wide solver lanes, with deterministic
-//! work-stealing.
+//! workers and advanced through wide solver lanes.
 //!
 //! # Sharding
 //!
@@ -16,36 +15,31 @@
 //! report is byte-identical at any `--jobs` and across any
 //! interrupt/resume split.
 //!
-//! # Work stealing
+//! # Scheduling
 //!
-//! Shards are pre-partitioned into one contiguous range per worker, each
-//! with its own atomic cursor. A worker drains its own range first —
-//! preserving the sweep engine's cache-friendly contiguous claiming — and
-//! only then walks the other ranges in a fixed rotation, `fetch_add`-ing
-//! on their cursors. A steal moves *where* a shard is computed, never
-//! *what* it computes, so load imbalance (a flash crowd concentrated in a
-//! few epochs, a drained rack finishing instantly) costs idle time on one
-//! worker instead of wall-clock on the campaign.
+//! Shards run on the campaign executor ([`p7_sim::exec`]) through the
+//! same durable layer as sweeps ([`run_durable_indexed`]): workers claim
+//! one shard at a time from one shared atomic cursor, so a worker that
+//! finishes early (a drained rack, a quiet epoch range) simply claims the
+//! next shard. Which worker ran a shard changes *where* it was computed,
+//! never *what* it computes.
 
 use crate::spec::FleetSpec;
 use crate::telemetry;
 use crate::traffic::CORES_PER_SERVER;
 use ags_core::cluster::ClusterConfig;
 use p7_control::GuardbandMode;
-use p7_obs::trace;
-use p7_sim::journal::{fnv64, OpenedJournal};
+use p7_sim::exec::Schedule;
+use p7_sim::journal::{fnv64, run_durable_indexed};
 use p7_sim::sweep::{experiment_fingerprint, resolve_jobs, CacheStats};
 use p7_sim::{
-    run_group, Assignment, DurableOptions, Experiment, FailedPoint, JournalMode, Outcome,
-    RetryPolicy, ServerConfig, SimError, Simulation, SolveCache,
+    run_group, Assignment, DurableOptions, Experiment, FailedPoint, Outcome, ServerConfig,
+    SimError, Simulation, SolveCache,
 };
 use p7_types::{CORES_PER_SOCKET, NUM_SOCKETS};
 use p7_workloads::{Catalog, ExecutionModel, WorkloadProfile};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Solver lanes per fleet group solve: the widest batch the SoA kernel
@@ -61,11 +55,6 @@ pub const FLEET_MODE: GuardbandMode = GuardbandMode::Undervolt;
 /// Decides which shards panic, for resilience tests (mirrors
 /// `p7_sim::sweep::PanicInjector`).
 pub type ShardPanicInjector = Arc<dyn Fn(usize) -> bool + Send + Sync>;
-
-/// What the shard executor hands back: per-shard results in shard order
-/// (`None` only for quarantined shards), the quarantine list, and the
-/// steal count.
-type ExecutorOutcome = (Vec<Option<ShardResult>>, Vec<FailedPoint>, u64);
 
 /// One server's settled operating point for one epoch.
 ///
@@ -137,7 +126,7 @@ pub struct ShardResult {
 }
 
 /// Run accounting: everything here is diagnostic (stderr), never part of
-/// the deterministic report payload — steal counts and elapsed time
+/// the deterministic report payload — cache traffic and elapsed time
 /// legitimately vary with worker count and machine.
 #[derive(Debug, Clone)]
 pub struct FleetStats {
@@ -145,8 +134,6 @@ pub struct FleetStats {
     pub shards: usize,
     /// Worker threads used.
     pub jobs: usize,
-    /// Shards claimed from another worker's range.
-    pub steals: u64,
     /// Server-epochs that ran load.
     pub active_server_epochs: usize,
     /// Server-epochs spent suspended.
@@ -321,18 +308,6 @@ struct FleetScratch {
     probe: Vec<Option<Arc<Outcome>>>,
 }
 
-/// What one shard's isolated attempt loop produced (mirrors the sweep
-/// executor's verdicts).
-enum ShardSolved {
-    /// Solved; the flag is journal-worthiness (`false` = every epoch was
-    /// a cache hit, free to reproduce, so checkpointing buys nothing).
-    Done(ShardResult, bool),
-    /// A hard configuration error — retries cannot help.
-    Hard(SimError),
-    /// Quarantined after the retry budget.
-    Quarantined(FailedPoint),
-}
-
 /// The fleet campaign runner: shards servers across `jobs` workers and
 /// advances each shard through [`FLEET_GROUP_LANES`]-wide solver batches.
 pub struct FleetEngine {
@@ -392,38 +367,33 @@ impl FleetEngine {
         let ctx = self.compile(spec)?;
         let shards = spec.shards();
 
-        let opened = if matches!(options.durable.journal, JournalMode::Off) {
-            OpenedJournal {
-                journal: None,
-                entries: Vec::new(),
-                skipped_segments: 0,
-            }
-        } else {
-            options
-                .durable
-                .journal
-                .open_with::<ShardResult>(&spec.manifest(), options.durable.fs.clone())?
-        };
-        // The manifest fingerprint pins the spec, so a recovered shard
-        // that disagrees with the spec's geometry means on-disk
-        // corruption that slipped past the segment checksums.
-        for (idx, result) in &opened.entries {
-            if *idx >= shards
-                || result.shard != *idx
-                || result.servers.len() != spec.shard_range(*idx).len()
-            {
-                return Err(SimError::Journal {
-                    reason: format!("recovered shard {idx} does not match the spec's fleet"),
-                });
-            }
-        }
+        let opened = options
+            .durable
+            .journal
+            .open_with(|| spec.manifest(), options.durable.fs.clone())?;
+        let solved = run_durable_indexed(
+            Schedule::new(self.jobs, 1, "fleet_shard", telemetry::shards_claimed()),
+            shards,
+            FleetScratch::default,
+            |scratch, shard| {
+                if let Some(inject) = &options.panic_injector {
+                    assert!(!inject(shard), "injected panic at fleet shard {shard}");
+                }
+                self.solve_shard(&ctx, shard, scratch)
+            },
+            |idx, result: &ShardResult| {
+                result.shard == idx && result.servers.len() == spec.shard_range(idx).len()
+            },
+            opened,
+            &options.durable,
+        )?;
 
-        let (results, failed, steals) = self.run_shards(&ctx, opened, options)?;
-
-        let mut servers = Vec::with_capacity(spec.servers);
-        for shard in results.into_iter().flatten() {
-            servers.extend(shard.servers);
-        }
+        let servers: Vec<ServerResult> = solved
+            .results
+            .into_iter()
+            .flatten()
+            .flat_map(|shard| shard.servers)
+            .collect();
         let (active, standby) = servers
             .iter()
             .flat_map(|s| &s.epochs)
@@ -438,11 +408,10 @@ impl FleetEngine {
         Ok(FleetReport {
             spec: spec.clone(),
             servers,
-            failed_shards: failed,
+            failed_shards: solved.failed,
             stats: FleetStats {
                 shards,
                 jobs: self.jobs.min(shards.max(1)),
-                steals,
                 active_server_epochs: active,
                 standby_server_epochs: standby,
                 elapsed_secs: started.elapsed().as_secs_f64(),
@@ -586,211 +555,6 @@ impl FleetEngine {
 
         Ok((ShardResult { shard, servers }, journal_worthy))
     }
-
-    /// The durable shard executor: per-worker contiguous ranges with
-    /// deterministic work stealing, panic isolation, journal checkpoints
-    /// and cooperative cancellation. Results merge by shard index, so the
-    /// outcome is identical at any worker count.
-    #[allow(clippy::too_many_lines)]
-    fn run_shards(
-        &self,
-        ctx: &FleetContext,
-        opened: OpenedJournal<ShardResult>,
-        options: &FleetRunOptions,
-    ) -> Result<ExecutorOutcome, SimError> {
-        let n = ctx.spec.shards();
-        let jobs = self.jobs.min(n.max(1));
-        let opts = &options.durable;
-        let OpenedJournal {
-            journal: mut journal_store,
-            entries: completed,
-            ..
-        } = opened;
-        let mut journal = journal_store.as_mut();
-        let checkpoint_every = opts.checkpoint_interval();
-        let done: HashSet<usize> = completed.iter().map(|(idx, _)| *idx).collect();
-
-        let mut results: Vec<Option<ShardResult>> = (0..n).map(|_| None).collect();
-        let mut failed: Vec<FailedPoint> = Vec::new();
-        let mut first_error: Option<(usize, SimError)> = None;
-        let mut pending: Vec<(usize, ShardResult)> = Vec::new();
-        let mut journal_error: Option<SimError> = None;
-        let steals = AtomicU64::new(0);
-
-        // One place handles every solved shard, serial or parallel:
-        // merge into the index slot, stage journal entries, flush full
-        // segments (the sweep executor's absorb contract).
-        let mut absorb = |idx: usize,
-                          solved: ShardSolved,
-                          results: &mut Vec<Option<ShardResult>>,
-                          failed: &mut Vec<FailedPoint>,
-                          first_error: &mut Option<(usize, SimError)>,
-                          pending: &mut Vec<(usize, ShardResult)>,
-                          journal_error: &mut Option<SimError>| {
-            match solved {
-                ShardSolved::Done(value, journal_worthy) => {
-                    if journal_worthy && journal.is_some() && journal_error.is_none() {
-                        pending.push((idx, value.clone()));
-                    }
-                    results[idx] = Some(value);
-                }
-                ShardSolved::Hard(e) => {
-                    if first_error.as_ref().is_none_or(|(lowest, _)| idx < *lowest) {
-                        *first_error = Some((idx, e));
-                    }
-                }
-                ShardSolved::Quarantined(point) => failed.push(point),
-            }
-            if pending.len() >= checkpoint_every {
-                if let Some(j) = journal.as_deref_mut() {
-                    if let Err(e) = j.append(pending) {
-                        *journal_error = Some(e);
-                        opts.cancel.cancel();
-                    }
-                }
-                pending.clear();
-            }
-        };
-
-        let solve_one = |scratch: &mut FleetScratch, shard: usize| {
-            if let Some(inject) = &options.panic_injector {
-                assert!(!inject(shard), "injected panic at fleet shard {shard}");
-            }
-            self.solve_shard(ctx, shard, scratch)
-        };
-
-        if jobs <= 1 {
-            let mut scratch = FleetScratch::default();
-            for shard in 0..n {
-                if opts.cancel.is_cancelled() {
-                    break;
-                }
-                if done.contains(&shard) {
-                    continue;
-                }
-                telemetry::shards_claimed().inc();
-                let solved = {
-                    let span = trace::span("fleet_shard", shard as u64);
-                    let _ctx = span.push();
-                    attempt_shard(&solve_one, &mut scratch, shard, &opts.retry)
-                };
-                absorb(
-                    shard,
-                    solved,
-                    &mut results,
-                    &mut failed,
-                    &mut first_error,
-                    &mut pending,
-                    &mut journal_error,
-                );
-            }
-        } else {
-            // Contiguous pre-partition: worker w owns shards
-            // [w*n/jobs, (w+1)*n/jobs). Each range has its own cursor;
-            // stealing is a fetch_add on someone else's.
-            let cursors: Vec<AtomicUsize> =
-                (0..jobs).map(|w| AtomicUsize::new(w * n / jobs)).collect();
-            let ends: Vec<usize> = (0..jobs).map(|w| (w + 1) * n / jobs).collect();
-            let (tx, rx) = mpsc::channel::<(usize, ShardSolved)>();
-            // Workers inherit the coordinator's trace context (the
-            // campaign root) so shard spans parent identically at any
-            // worker count.
-            let ctx = trace::current_context();
-            std::thread::scope(|scope| {
-                for w in 0..jobs {
-                    let tx = tx.clone();
-                    let (cursors, ends, done) = (&cursors, &ends, &done);
-                    let (solve_one, steals, cancel) = (&solve_one, &steals, &opts.cancel);
-                    let retry = &opts.retry;
-                    scope.spawn(move || {
-                        let _tctx = trace::push_context(ctx);
-                        let mut scratch = FleetScratch::default();
-                        let mut work = || {
-                            // Own range first (delta 0), then the other
-                            // ranges in a fixed rotation.
-                            for delta in 0..jobs {
-                                let victim = (w + delta) % jobs;
-                                loop {
-                                    if cancel.is_cancelled() {
-                                        return;
-                                    }
-                                    let shard = cursors[victim].fetch_add(1, Ordering::Relaxed);
-                                    if shard >= ends[victim] {
-                                        break;
-                                    }
-                                    if done.contains(&shard) {
-                                        continue;
-                                    }
-                                    telemetry::shards_claimed().inc();
-                                    if delta != 0 {
-                                        telemetry::shards_stolen().inc();
-                                        steals.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    let solved = {
-                                        let span = trace::span("fleet_shard", shard as u64);
-                                        let _ctx = span.push();
-                                        attempt_shard(solve_one, &mut scratch, shard, retry)
-                                    };
-                                    if tx.send((shard, solved)).is_err() {
-                                        return;
-                                    }
-                                }
-                            }
-                        };
-                        work();
-                        // Scoped joins may return before TLS destructors
-                        // run; flush the span ring here or the
-                        // coordinator's collect can miss this worker.
-                        trace::flush();
-                    });
-                }
-                drop(tx);
-                // The coordinator drains while workers run, so
-                // checkpoints land as shards complete, not at the end.
-                for (shard, solved) in rx {
-                    absorb(
-                        shard,
-                        solved,
-                        &mut results,
-                        &mut failed,
-                        &mut first_error,
-                        &mut pending,
-                        &mut journal_error,
-                    );
-                }
-            });
-        }
-
-        // Final flush: whatever completed since the last full segment.
-        if journal_error.is_none() {
-            if let Some(j) = journal.as_deref_mut() {
-                if let Err(e) = j.append(&pending) {
-                    journal_error = Some(e);
-                }
-            }
-        }
-        if let Some(e) = journal_error {
-            return Err(e);
-        }
-        if let Some((_, e)) = first_error {
-            return Err(e);
-        }
-        if opts.cancel.is_cancelled() {
-            return Err(SimError::Interrupted {
-                journal: journal.map(|j| j.dir().display().to_string()),
-            });
-        }
-
-        // Resumed entries fill their slots last, so a fresh solve of the
-        // same index (impossible, but harmless) is not overwritten.
-        for (idx, value) in completed {
-            if idx < n && results[idx].is_none() {
-                results[idx] = Some(value);
-            }
-        }
-        failed.sort_unstable_by_key(|p| p.index);
-        Ok((results, failed, steals.load(Ordering::Relaxed)))
-    }
 }
 
 /// Threads the consolidation-first mapper places on `server` at `epoch`:
@@ -823,50 +587,6 @@ fn place(workload: &WorkloadProfile, threads: usize) -> Result<Assignment, SimEr
     }
 }
 
-/// One shard's isolated attempt loop: `catch_unwind` around the solve,
-/// bounded backoff retries with scratch rebuilt after each caught panic,
-/// quarantine after the final one (mirrors the sweep executor).
-fn attempt_shard<F>(
-    f: &F,
-    scratch: &mut FleetScratch,
-    shard: usize,
-    retry: &RetryPolicy,
-) -> ShardSolved
-where
-    F: Fn(&mut FleetScratch, usize) -> Result<(ShardResult, bool), SimError>,
-{
-    let attempts = retry.max_attempts.max(1);
-    let mut reason = String::new();
-    for attempt in 1..=attempts {
-        match catch_unwind(AssertUnwindSafe(|| f(scratch, shard))) {
-            Ok(Ok((value, journal_worthy))) => return ShardSolved::Done(value, journal_worthy),
-            Ok(Err(e)) => return ShardSolved::Hard(e),
-            Err(payload) => {
-                reason = panic_message(payload.as_ref());
-                *scratch = FleetScratch::default();
-                if attempt < attempts {
-                    std::thread::sleep(retry.backoff_before(attempt));
-                }
-            }
-        }
-    }
-    ShardSolved::Quarantined(FailedPoint {
-        index: shard,
-        attempts,
-        reason,
-    })
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
 /// SplitMix64 — the same mixer the sweep module derives seeds with, so
 /// fleet server seeds are as decorrelated as sweep point seeds.
 fn splitmix(mut z: u64) -> u64 {
@@ -880,7 +600,7 @@ fn splitmix(mut z: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::traffic::TrafficModel;
-    use p7_sim::DEFAULT_CACHE_CAPACITY;
+    use p7_sim::{RetryPolicy, DEFAULT_CACHE_CAPACITY};
     use std::path::PathBuf;
 
     fn tiny_spec() -> FleetSpec {
@@ -950,7 +670,7 @@ mod tests {
     }
 
     #[test]
-    fn report_is_byte_identical_across_jobs_with_stealing() {
+    fn report_is_byte_identical_across_jobs() {
         let spec = tiny_spec();
         let solo = fresh_engine(1).run(&spec).unwrap().results_json();
         for jobs in [2, 5] {

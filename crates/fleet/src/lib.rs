@@ -14,13 +14,13 @@
 //!   one 16-lane [`p7_sim::SolveBatch`] group solve
 //!   ([`p7_sim::run_group`]), so the SoA kernel runs at full width instead
 //!   of two lanes per server.
-//! * **Work stealing** — idle workers claim whole shards from other
-//!   workers' ranges in a fixed rotation. Stealing moves *where* a shard
-//!   is computed, never *what*: reports are byte-identical at any
-//!   `--jobs`.
+//! * **One executor** — shards run on the campaign executor shared with
+//!   sweeps ([`p7_sim::exec`]): workers claim the next shard from one
+//!   atomic cursor. Scheduling moves *where* a shard is computed, never
+//!   *what*: reports are byte-identical at any `--jobs`.
 //! * **Durability** — campaigns journal per-shard through the same
-//!   crash-consistent [`p7_sim::Journal`] machinery as sweeps, and resume
-//!   without recomputing.
+//!   crash-consistent [`p7_sim::Journal`] machinery and panic quarantine
+//!   as sweeps, and resume without recomputing.
 //!
 //! Demand is open-loop (a pure function of the epoch), per-server silicon
 //! and tenants derive from the seed, and the memoized solve cache only

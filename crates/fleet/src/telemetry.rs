@@ -1,12 +1,10 @@
 //! The fleet engine's metric families, as cached handles into the global
 //! [`p7_obs`] registry — the same accessor idiom as `p7_sim::telemetry`.
 //!
-//! Shard scheduling families deserve one caveat: *which worker* claims or
-//! steals a shard depends on thread timing, so `ags_fleet_shards_stolen_total`
-//! is legitimately jobs-variant (it counts scheduling events, not results).
-//! Everything the fleet *reports* stays byte-identical at any worker count;
-//! only these scheduling counters (and `*_seconds` families elsewhere) see
-//! the machine.
+//! Every family here counts shards or server-epochs, never which worker
+//! handled them, so all of them are jobs-invariant. Panic retries and
+//! quarantines of shards land in the executor's shared
+//! `ags_point_retries_total` / `ags_point_quarantines_total`.
 
 use p7_obs::metrics::{global, Counter, Histogram};
 use std::sync::{Arc, OnceLock};
@@ -37,18 +35,10 @@ macro_rules! histogram_accessor {
 }
 
 counter_accessor!(
-    /// Shards claimed by fleet workers (from their own range or stolen).
+    /// Shards claimed by fleet workers.
     shards_claimed,
     "ags_fleet_shards_claimed_total",
-    "Fleet shards claimed by workers, own-range and stolen combined"
-);
-
-counter_accessor!(
-    /// Shards a worker took from another worker's range after draining its
-    /// own. Jobs-variant by nature: stealing is a scheduling event.
-    shards_stolen,
-    "ags_fleet_shards_stolen_total",
-    "Fleet shards claimed from another worker's range (work stealing)"
+    "Fleet shards claimed by workers"
 );
 
 counter_accessor!(
@@ -77,7 +67,6 @@ histogram_accessor!(
 /// (zero-valued included) before any fleet campaign runs.
 pub fn register_all() {
     let _ = shards_claimed();
-    let _ = shards_stolen();
     let _ = server_epochs();
     let _ = idle_server_epochs();
     let _ = group_lanes();
@@ -92,9 +81,9 @@ mod tests {
         register_all();
         let enabled_before = global().is_enabled();
         global().set_enabled(true);
-        let before = shards_stolen().get();
-        shards_stolen().inc();
-        assert_eq!(shards_stolen().get(), before + 1);
+        let before = shards_claimed().get();
+        shards_claimed().inc();
+        assert_eq!(shards_claimed().get(), before + 1);
         global().set_enabled(enabled_before);
         assert!(GROUP_LANES_BOUNDS.windows(2).all(|w| w[0] < w[1]));
     }

@@ -4,8 +4,8 @@
 //! Real guardband characterization runs on machines that crash *by
 //! design* — margin sweeps hang or reboot the target — so a campaign
 //! that loses hours of completed grid points to one panic or a Ctrl-C is
-//! unusable at production scale. This module gives the sweep and
-//! resilience engines three ingredients:
+//! unusable at production scale. This module gives the sweep,
+//! resilience and fleet engines three ingredients:
 //!
 //! * [`Journal`] — a checksummed on-disk log of completed point results.
 //!   Every checkpoint is one *segment* file written
@@ -14,14 +14,14 @@
 //!   [`CampaignManifest`] written at creation pins the exact spec
 //!   (canonical JSON + fingerprint + seed), and a resume refuses a
 //!   journal whose manifest does not match.
-//! * [`run_durable_indexed`] — the worker loop shared by both engines:
-//!   per-point `catch_unwind` isolation with bounded backoff retries
-//!   (a persistently panicking point is quarantined as a
-//!   [`FailedPoint`] instead of killing the run), incremental journal
-//!   checkpoints, and cooperative cancellation.
+//! * [`run_durable_indexed`] — the durable layer over the campaign
+//!   executor ([`crate::exec`], which owns the workers and the
+//!   `catch_unwind` retry/quarantine loop): recovered entries are checked
+//!   and skipped, completed points are staged into journal checkpoints,
+//!   and errors surface in a fixed order after the final flush.
 //! * [`CancelToken`] — a clonable flag the CLI wires to SIGINT/SIGTERM;
-//!   workers observe it between points, the coordinator flushes the
-//!   journal and the run returns [`SimError::Interrupted`].
+//!   workers observe it between points, the journal is flushed and the
+//!   run returns [`SimError::Interrupted`].
 //!
 //! Determinism: the journal stores each completed point's serialized
 //! result, and the JSON float form is Rust's shortest round-trip, so a
@@ -29,16 +29,16 @@
 //! byte-identical reports to an uninterrupted run at any worker count.
 
 use crate::error::SimError;
+use crate::exec::{self, Schedule};
 use crate::telemetry;
 use crate::vfs::{self, DynFs, Fs};
 use p7_obs::trace;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::marker::PhantomData;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// On-disk journal format version; bumped on incompatible layout change.
@@ -457,57 +457,48 @@ impl<T: Serialize + Deserialize> Journal<T> {
 }
 
 impl JournalMode {
-    /// Opens the journal this mode describes: [`JournalMode::Off`]
-    /// yields none, [`JournalMode::Start`] creates a fresh journal
-    /// stamped with `manifest`, [`JournalMode::Resume`] verifies the
-    /// on-disk manifest and recovers every intact segment.
+    /// Opens the journal this mode describes through `fs`:
+    /// [`JournalMode::Off`] yields none, [`JournalMode::Start`] creates a
+    /// fresh journal stamped with the manifest, [`JournalMode::Resume`]
+    /// verifies the on-disk manifest and recovers every intact segment.
+    /// `manifest` only runs when a journal is on, so the in-memory path
+    /// never serializes the spec.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Journal`] as [`Journal::create`] /
     /// [`Journal::resume`] do.
-    pub fn open<T: Serialize + Deserialize>(
-        &self,
-        manifest: &CampaignManifest,
-    ) -> Result<OpenedJournal<T>, SimError> {
-        self.open_with(manifest, vfs::std_fs())
-    }
-
-    /// [`JournalMode::open`] through an explicit filesystem backend.
-    ///
-    /// # Errors
-    ///
-    /// As [`JournalMode::open`].
     pub fn open_with<T: Serialize + Deserialize>(
         &self,
-        manifest: &CampaignManifest,
+        manifest: impl FnOnce() -> CampaignManifest,
         fs: DynFs,
     ) -> Result<OpenedJournal<T>, SimError> {
-        match self {
-            JournalMode::Off => Ok(OpenedJournal {
-                journal: None,
-                entries: Vec::new(),
-                skipped_segments: 0,
-            }),
-            JournalMode::Start(dir) => Ok(OpenedJournal {
-                journal: Some(Journal::create_with(dir, manifest, fs)?),
-                entries: Vec::new(),
-                skipped_segments: 0,
-            }),
+        let (journal, entries, skipped_segments) = match self {
+            JournalMode::Off => (None, Vec::new(), 0),
+            JournalMode::Start(dir) => (
+                Some(Journal::create_with(dir, &manifest(), fs)?),
+                Vec::new(),
+                0,
+            ),
             JournalMode::Resume(dir) => {
-                let resumed = Journal::resume_with(dir, manifest, fs)?;
-                Ok(OpenedJournal {
-                    journal: Some(resumed.journal),
-                    entries: resumed.entries,
-                    skipped_segments: resumed.skipped_segments,
-                })
+                let resumed = Journal::resume_with(dir, &manifest(), fs)?;
+                (
+                    Some(resumed.journal),
+                    resumed.entries,
+                    resumed.skipped_segments,
+                )
             }
-        }
+        };
+        Ok(OpenedJournal {
+            journal,
+            entries,
+            skipped_segments,
+        })
     }
 }
 
 /// The journal handle and recovered state produced by
-/// [`JournalMode::open`].
+/// [`JournalMode::open_with`].
 #[derive(Debug)]
 pub struct OpenedJournal<T> {
     /// The journal to append checkpoints to, if journaling is on.
@@ -617,7 +608,7 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 
 /// The merged output of one durable run.
 #[derive(Debug)]
-pub(crate) struct DurableOutcome<T> {
+pub struct DurableOutcome<T> {
     /// Per-index results; `None` marks a quarantined point (its
     /// [`FailedPoint`] is in `failed`).
     pub results: Vec<Option<T>>,
@@ -625,23 +616,16 @@ pub(crate) struct DurableOutcome<T> {
     pub failed: Vec<FailedPoint>,
 }
 
-/// What one point's isolated attempt loop produced. `Done`'s flag is
-/// the solver's journal-worthiness verdict: `false` marks a result that
-/// is free to reproduce (a memoization hit), so checkpointing it would
-/// cost I/O and buy no durability.
-enum Solved<T> {
-    Done(T, bool),
-    Hard(SimError),
-    Quarantined(FailedPoint),
-}
-
-/// Runs `f` over `0..n` like `sweep::run_indexed_with`, adding the
-/// durability contract: per-point panic isolation with retries and
-/// quarantine, resume (indices in `completed` are not re-run),
-/// incremental journal checkpoints and cooperative cancellation. `f`
-/// returns its result plus a journal-worthiness flag; results flagged
-/// `false` (memoization hits, free to reproduce) merge into the report
-/// but are never checkpointed.
+/// Runs `f` over `0..n` on the campaign executor ([`crate::exec`]) under
+/// the durability contract: the journal's recovered entries are checked
+/// against the campaign (`check` sees each recovered index and value)
+/// and not re-run, completed points are checkpointed every
+/// [`DurableOptions::checkpoint_interval`] results, and `opts` supplies
+/// the panic retry policy and the cancel token. `f` returns its result
+/// plus a journal-worthiness flag; results flagged `false` (memoization
+/// hits, free to reproduce) merge into the report but are never
+/// checkpointed. `schedule` sets the workers, the claim unit and the
+/// per-index span and counter.
 ///
 /// Results are merged by index regardless of scheduling, so — given the
 /// same spec — the outcome is identical at any worker count and across
@@ -649,179 +633,87 @@ enum Solved<T> {
 ///
 /// # Errors
 ///
-/// Returns the lowest-indexed hard [`SimError`] raised by `f`, a
-/// [`SimError::Journal`] if checkpointing fails, or
-/// [`SimError::Interrupted`] when `opts.cancel` fired; in every error
-/// case all completed results have already been flushed to the journal.
-pub(crate) fn run_durable_indexed<S, T, I, F>(
-    jobs: usize,
+/// Returns [`SimError::Journal`] when a recovered entry fails `check` or
+/// lies outside `0..n` (on-disk corruption that slipped past the segment
+/// checksums; nothing runs), else — after the final flush, so every
+/// completed result is already durable — a [`SimError::Journal`] if
+/// checkpointing failed, the lowest-indexed hard [`SimError`] raised by
+/// `f`, or [`SimError::Interrupted`] when `opts.cancel` fired.
+pub fn run_durable_indexed<S, T, I, F, C>(
+    schedule: Schedule<'_>,
     n: usize,
-    chunk: usize,
     init: I,
     f: F,
+    check: C,
     opened: OpenedJournal<T>,
     opts: &DurableOptions,
 ) -> Result<DurableOutcome<T>, SimError>
 where
-    T: Send + Sync + Clone + Serialize + Deserialize,
+    T: Send + Clone + Serialize + Deserialize,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> Result<(T, bool), SimError> + Sync,
+    C: Fn(usize, &T) -> bool,
 {
     let OpenedJournal {
-        journal: mut journal_store,
+        mut journal,
         entries: completed,
         ..
     } = opened;
-    let mut journal = journal_store.as_mut();
-    let chunk = chunk.max(1);
-    let jobs = crate::sweep::resolve_jobs(jobs).min(n.max(1));
-    let checkpoint_every = opts.checkpoint_interval();
-    let done: HashMap<usize, &T> = completed
+    if let Some((idx, _)) = completed
         .iter()
-        .filter(|(idx, _)| *idx < n)
-        .map(|(idx, value)| (*idx, value))
-        .collect();
-
+        .find(|(idx, value)| *idx >= n || !check(*idx, value))
+    {
+        return Err(SimError::Journal {
+            reason: format!("recovered entry {idx} does not match the campaign's spec"),
+        });
+    }
+    let done: HashSet<usize> = completed.iter().map(|(idx, _)| *idx).collect();
+    let checkpoint_every = opts.checkpoint_interval();
     let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
     let mut failed: Vec<FailedPoint> = Vec::new();
     let mut first_error: Option<(usize, SimError)> = None;
     let mut pending: Vec<(usize, T)> = Vec::new();
     let mut journal_error: Option<SimError> = None;
 
-    // One place handles every solved point, serial or parallel: merge
-    // into the index slot, stage journal entries, flush full segments.
-    let mut absorb = |idx: usize,
-                      solved: Solved<T>,
-                      results: &mut Vec<Option<T>>,
-                      failed: &mut Vec<FailedPoint>,
-                      first_error: &mut Option<(usize, SimError)>,
-                      pending: &mut Vec<(usize, T)>,
-                      journal_error: &mut Option<SimError>| {
-        match solved {
-            Solved::Done(value, journal_worthy) => {
-                if journal_worthy && journal.is_some() && journal_error.is_none() {
-                    pending.push((idx, value.clone()));
+    exec::run(
+        &schedule.durable(opts),
+        n,
+        &|idx| done.contains(&idx),
+        init,
+        f,
+        |idx, verdict| {
+            match verdict {
+                Ok(Ok((value, journal_worthy))) => {
+                    if journal_worthy && journal.is_some() && journal_error.is_none() {
+                        pending.push((idx, value.clone()));
+                    }
+                    results[idx] = Some(value);
                 }
-                results[idx] = Some(value);
-            }
-            Solved::Hard(e) => {
-                if first_error.as_ref().is_none_or(|(lowest, _)| idx < *lowest) {
-                    *first_error = Some((idx, e));
+                Ok(Err(e)) => {
+                    if first_error.as_ref().is_none_or(|(lowest, _)| idx < *lowest) {
+                        first_error = Some((idx, e));
+                    }
                 }
+                Err(point) => failed.push(point),
             }
-            Solved::Quarantined(point) => failed.push(point),
-        }
-        if pending.len() >= checkpoint_every {
-            if let Some(j) = journal.as_deref_mut() {
-                if let Err(e) = j.append(pending) {
-                    // Stop staging (and cancel workers): results keep
-                    // merging, but the run reports the I/O failure.
-                    *journal_error = Some(e);
-                    opts.cancel.cancel();
+            if pending.len() >= checkpoint_every {
+                if let Some(j) = journal.as_mut() {
+                    if let Err(e) = j.append(&pending) {
+                        // Stop staging (and cancel workers): results keep
+                        // merging, but the run reports the I/O failure.
+                        journal_error = Some(e);
+                        opts.cancel.cancel();
+                    }
                 }
+                pending.clear();
             }
-            pending.clear();
-        }
-    };
-
-    if jobs <= 1 {
-        let mut state = init();
-        for idx in 0..n {
-            if opts.cancel.is_cancelled() {
-                break;
-            }
-            if done.contains_key(&idx) {
-                continue;
-            }
-            telemetry::sweep_points_claimed().inc();
-            let solved = {
-                let span = trace::span("sweep_point", idx as u64);
-                let _ctx = span.push();
-                attempt_point(&f, &mut state, idx, &opts.retry, &init)
-            };
-            absorb(
-                idx,
-                solved,
-                &mut results,
-                &mut failed,
-                &mut first_error,
-                &mut pending,
-                &mut journal_error,
-            );
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Solved<T>)>();
-        // Workers inherit the coordinator's trace context (the campaign
-        // root) so span trees parent identically at any worker count.
-        let ctx = trace::current_context();
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                let tx = tx.clone();
-                let (f, init, done, next, cancel) = (&f, &init, &done, &next, &opts.cancel);
-                let retry = &opts.retry;
-                scope.spawn(move || {
-                    let _tctx = trace::push_context(ctx);
-                    let mut state = init();
-                    let mut ready_at = Instant::now();
-                    let mut work = || loop {
-                        if cancel.is_cancelled() {
-                            return;
-                        }
-                        let start = next.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            return;
-                        }
-                        telemetry::sweep_chunk_wait().observe(ready_at.elapsed().as_secs_f64());
-                        for idx in start..(start + chunk).min(n) {
-                            if cancel.is_cancelled() {
-                                return;
-                            }
-                            if done.contains_key(&idx) {
-                                continue;
-                            }
-                            telemetry::sweep_points_claimed().inc();
-                            let solved = {
-                                let span = trace::span("sweep_point", idx as u64);
-                                let _ctx = span.push();
-                                attempt_point(f, &mut state, idx, retry, init)
-                            };
-                            if tx.send((idx, solved)).is_err() {
-                                return;
-                            }
-                        }
-                        ready_at = Instant::now();
-                    };
-                    work();
-                    // Scoped joins may return before TLS destructors run;
-                    // flush the span ring here or the coordinator's
-                    // collect can miss this worker's events.
-                    trace::flush();
-                });
-            }
-            drop(tx);
-            // The coordinator drains while workers run, so checkpoints
-            // land as points complete, not at the end.
-            for (idx, solved) in rx {
-                absorb(
-                    idx,
-                    solved,
-                    &mut results,
-                    &mut failed,
-                    &mut first_error,
-                    &mut pending,
-                    &mut journal_error,
-                );
-            }
-        });
-    }
+        },
+    );
 
     // Final flush: whatever completed since the last full segment.
     if journal_error.is_none() {
-        if let Some(j) = journal.as_deref_mut() {
-            if let Err(e) = j.append(&pending) {
-                journal_error = Some(e);
-            }
+        if let Some(j) = journal.as_mut() {
+            journal_error = j.append(&pending).err();
         }
     }
     if let Some(e) = journal_error {
@@ -836,66 +728,13 @@ where
         });
     }
 
-    // Resumed entries fill their slots last, so a fresh solve of the
-    // same index (impossible, but harmless) would not be overwritten.
+    // Recovered entries were never re-run; a duplicated one keeps its
+    // first copy.
     for (idx, value) in completed {
-        if idx < n && results[idx].is_none() {
-            results[idx] = Some(value);
-        }
+        results[idx].get_or_insert(value);
     }
     failed.sort_unstable_by_key(|p| p.index);
     Ok(DurableOutcome { results, failed })
-}
-
-/// One point's isolated attempt loop: `catch_unwind` around `f`, bounded
-/// backoff retries, quarantine after the final panic. A hard `SimError`
-/// is returned immediately — the solve is deterministic, so config
-/// errors do not benefit from retries. The worker's scratch state is
-/// rebuilt after every caught panic, since the unwound solve may have
-/// left it mid-tick.
-fn attempt_point<S, T, I, F>(
-    f: &F,
-    state: &mut S,
-    idx: usize,
-    retry: &RetryPolicy,
-    init: &I,
-) -> Solved<T>
-where
-    I: Fn() -> S,
-    F: Fn(&mut S, usize) -> Result<(T, bool), SimError>,
-{
-    let attempts = retry.max_attempts.max(1);
-    let mut reason = String::new();
-    for attempt in 1..=attempts {
-        match catch_unwind(AssertUnwindSafe(|| f(state, idx))) {
-            Ok(Ok((value, journal_worthy))) => return Solved::Done(value, journal_worthy),
-            Ok(Err(e)) => return Solved::Hard(e),
-            Err(payload) => {
-                reason = panic_message(payload.as_ref());
-                *state = init();
-                if attempt < attempts {
-                    telemetry::point_retries().inc();
-                    std::thread::sleep(retry.backoff_before(attempt));
-                }
-            }
-        }
-    }
-    telemetry::point_quarantines().inc();
-    Solved::Quarantined(FailedPoint {
-        index: idx,
-        attempts,
-        reason,
-    })
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
 }
 
 #[cfg(test)]
@@ -912,6 +751,11 @@ mod tests {
 
     fn manifest() -> CampaignManifest {
         CampaignManifest::new("sweep", 42, "{\"spec\":true}".to_owned())
+    }
+
+    /// The schedule the durable tests run under.
+    fn schedule(jobs: usize, unit: usize) -> Schedule<'static> {
+        Schedule::new(jobs, unit, "sweep_point", telemetry::sweep_points_claimed())
     }
 
     /// An [`OpenedJournal`] with no backing journal, as `JournalMode::Off`
@@ -1045,15 +889,15 @@ mod tests {
         let completed = vec![(0usize, 100usize), (5, 105)];
         let ran = std::sync::Mutex::new(Vec::new());
         let out = run_durable_indexed(
-            2,
+            schedule(2, 2),
             8,
-            2,
             || (),
             |(), idx| {
                 ran.lock().unwrap().push(idx);
                 assert!(idx != 3, "injected panic at index 3");
                 Ok((idx + 100, true))
             },
+            |_, _| true,
             recovered(completed),
             &opts,
         )
@@ -1076,10 +920,9 @@ mod tests {
     #[test]
     fn durable_run_reports_lowest_indexed_hard_error() {
         let opts = DurableOptions::default();
-        let err = run_durable_indexed::<_, usize, _, _>(
-            3,
+        let err = run_durable_indexed::<_, usize, _, _, _>(
+            schedule(3, 1),
             6,
-            1,
             || (),
             |(), idx| {
                 if idx % 2 == 1 {
@@ -1090,6 +933,7 @@ mod tests {
                     Ok((idx, true))
                 }
             },
+            |_, _| true,
             recovered(Vec::new()),
             &opts,
         )
@@ -1108,9 +952,8 @@ mod tests {
         };
         let cancel = opts.cancel.clone();
         let err = run_durable_indexed(
-            1,
+            schedule(1, 1),
             10,
-            1,
             || (),
             |(), idx| {
                 if idx == 4 {
@@ -1118,6 +961,7 @@ mod tests {
                 }
                 Ok((idx * 2, true))
             },
+            |_, _| true,
             journaling(journal),
             &opts,
         )
@@ -1145,11 +989,11 @@ mod tests {
         // Odd indices are "memoization hits": free to reproduce, so the
         // journal must skip them while the report still includes them.
         let out = run_durable_indexed(
-            1,
+            schedule(1, 1),
             6,
-            1,
             || (),
             |(), idx| Ok((idx, idx % 2 == 0)),
+            |_, _| true,
             journaling(journal),
             &opts,
         )
@@ -1172,8 +1016,7 @@ mod tests {
             ..DurableOptions::default()
         };
         let out = run_durable_indexed(
-            1,
-            1,
+            schedule(1, 1),
             1,
             || true, // state: "clean"
             |clean, idx| {
@@ -1185,6 +1028,7 @@ mod tests {
                 // reaching here means the rebuild did NOT happen.
                 Ok((idx, true))
             },
+            |_, _| true,
             recovered(Vec::new()),
             &opts,
         )

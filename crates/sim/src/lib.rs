@@ -37,6 +37,7 @@ pub mod assignment;
 pub mod chip;
 pub mod config;
 pub mod error;
+pub mod exec;
 pub mod experiment;
 pub mod fsck;
 pub mod group;

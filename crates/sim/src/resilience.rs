@@ -17,15 +17,18 @@
 //! Each scenario cell reports the fraction of the healthy energy saving
 //! retained under fault, the margin-violation counts with and without the
 //! supervisor, and the supervisor's trip/re-arm bookkeeping. Cells are
-//! independent pure functions of the spec, fanned out with
-//! [`crate::sweep::run_indexed`], so a campaign is bitwise identical at
-//! any `--jobs` count.
+//! independent pure functions of the spec, run one per claim on the
+//! campaign executor through [`crate::journal::run_durable_indexed`], so
+//! a campaign is bitwise identical at any `--jobs` count and resumes
+//! from its journal like a sweep.
 
 use crate::assignment::Assignment;
 use crate::error::SimError;
+use crate::exec::Schedule;
 use crate::experiment::Experiment;
 use crate::history::SimEvent;
 use crate::journal::{run_durable_indexed, CampaignManifest, DurableOptions, FailedPoint};
+use crate::telemetry;
 use p7_control::{FirmwareController, GuardbandMode, SupervisorConfig};
 use p7_faults::FaultPlan;
 use p7_types::{SocketId, Volts};
@@ -181,31 +184,22 @@ impl ResilienceSpec {
             .flat_map(|s| (0..self.modes.len()).map(move |m| (s, m)))
             .collect();
 
-        let manifest = self.manifest();
         let opened = durable
             .journal
-            .open_with::<ScenarioResult>(&manifest, durable.fs.clone())?;
-        for (idx, cell) in &opened.entries {
-            let matches_grid = cells.get(*idx).is_some_and(|&(s, m)| {
-                cell.scenario == self.scenarios[s].name && cell.mode == self.modes[m]
-            });
-            if !matches_grid {
-                return Err(SimError::Journal {
-                    reason: format!("recovered entry {idx} does not match the campaign's cells"),
-                });
-            }
-        }
-
+            .open_with(|| self.manifest(), durable.fs.clone())?;
         let solved = run_durable_indexed(
-            jobs,
+            Schedule::new(jobs, 1, "sweep_point", telemetry::sweep_points_claimed()),
             cells.len(),
-            1,
             || (),
             |(), idx| {
                 let (s, m) = cells[idx];
                 // Cells are never memoized, so every one is journal-worthy.
                 self.run_cell(&assignment, &self.scenarios[s], self.modes[m])
                     .map(|cell| (cell, true))
+            },
+            |idx, cell: &ScenarioResult| {
+                let (s, m) = cells[idx];
+                cell.scenario == self.scenarios[s].name && cell.mode == self.modes[m]
             },
             opened,
             durable,

@@ -8,9 +8,11 @@
 //! * [`SweepSpec`] — a serde-serializable description of the grid
 //!   (workload names × core counts × guardband modes × placements plus
 //!   the master seed and tick counts),
-//! * [`SweepEngine`] — expands the spec into [`GridPoint`]s, fans them
-//!   out across `std::thread::scope` workers and merges the results by
-//!   grid index, so the output order never depends on scheduling,
+//! * [`SweepEngine`] — expands the spec into [`GridPoint`]s, runs them on
+//!   the campaign executor ([`crate::exec`]), one assignment block (every
+//!   mode of one workload × cores × placement) per claim, and merges the
+//!   results by grid index, so the output order never depends on
+//!   scheduling,
 //! * [`SolveCache`] — a memoization table keyed by the electrically
 //!   relevant state (configuration fingerprint, assignment fingerprint,
 //!   mode, tick counts) so repeated steady-state solves are computed
@@ -25,24 +27,23 @@
 
 use crate::assignment::Assignment;
 use crate::error::SimError;
+use crate::exec::{self, Schedule};
 use crate::experiment::{Experiment, Outcome};
 use crate::group::run_group;
-use crate::journal::{
-    fnv64, run_durable_indexed, CampaignManifest, DurableOptions, FailedPoint, JournalMode,
-    OpenedJournal,
-};
+use crate::journal::{fnv64, run_durable_indexed, CampaignManifest, DurableOptions, FailedPoint};
 use crate::server::Simulation;
 use crate::telemetry;
 use p7_control::GuardbandMode;
 use p7_faults::FaultPlan;
-use p7_obs::trace;
 use p7_workloads::{Catalog, ExecutionModel, WorkloadProfile};
 use serde::{de, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
+
+pub use crate::exec::resolve_jobs;
 
 /// How threads are placed on the two sockets for one grid point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -780,18 +781,6 @@ impl SolveCache {
             contended: self.contended.load(Ordering::Relaxed),
         }
     }
-
-    /// Current counters.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use SolveCache::counters() for per-instance numbers, or read the \
-                ags_solve_cache_* families from the p7-obs registry \
-                (p7_obs::metrics::global().snapshot() or `ags … --metrics`)"
-    )]
-    #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        self.counters()
-    }
 }
 
 /// An [`Experiment`] that routes every run through a [`SolveCache`].
@@ -1167,39 +1156,23 @@ impl SweepEngine {
         let points = &compiled.points;
         let modes_per_block = compiled.modes.len().max(1);
 
-        // Journals are the exception: the common in-memory path skips the
-        // manifest serialization and the filesystem open entirely.
-        let opened = if matches!(options.durable.journal, JournalMode::Off) {
-            OpenedJournal {
-                journal: None,
-                entries: Vec::new(),
-                skipped_segments: 0,
-            }
-        } else {
-            options
-                .durable
-                .journal
-                .open_with::<PointResult>(&spec.manifest(), options.durable.fs.clone())?
-        };
-        // The manifest fingerprint already pins the spec, so a recovered
-        // entry that disagrees with the grid means on-disk corruption
-        // that slipped past the segment checksums — refuse it.
-        for (idx, result) in &opened.entries {
-            if *idx >= points.len() || result.point != points[*idx] {
-                return Err(SimError::Journal {
-                    reason: format!("recovered entry {idx} does not match the spec's grid"),
-                });
-            }
-        }
+        let opened = options
+            .durable
+            .journal
+            .open_with(|| spec.manifest(), options.durable.fs.clone())?;
 
-        // Chunked claiming hands all modes of one assignment block — one
-        // cache lane block — to the same worker, so its scratch simulation
-        // is reset (not rebuilt) between modes and the whole block is
-        // probed from the cache in one lock acquisition.
+        // The claim unit is one assignment block — every mode of it, one
+        // cache lane block — so its scratch simulation is reset (not
+        // rebuilt) between modes and the whole block is probed from the
+        // cache in one lock acquisition.
         let solved = run_durable_indexed(
-            self.jobs,
+            Schedule::new(
+                self.jobs,
+                modes_per_block,
+                "sweep_point",
+                telemetry::sweep_points_claimed(),
+            ),
             points.len(),
-            modes_per_block,
             SweepScratch::new,
             |scratch, idx| {
                 if let Some(inject) = &options.panic_injector {
@@ -1209,6 +1182,7 @@ impl SweepEngine {
                 }
                 self.solve_point(&compiled, idx, scratch)
             },
+            |idx, result: &PointResult| result.point == points[idx],
             opened,
             &options.durable,
         )?;
@@ -1521,104 +1495,33 @@ struct BlockContext {
     fault_fp: u64,
 }
 
-/// Resolves a `--jobs` value: 0 means available parallelism.
-#[must_use]
-pub fn resolve_jobs(jobs: usize) -> usize {
-    if jobs > 0 {
-        return jobs;
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// Runs `f(0..n)` across `jobs` scoped worker threads and returns the
-/// results in index order, regardless of which worker computed what.
+/// Runs `f(0..n)` on `jobs` executor workers ([`crate::exec`]) and returns
+/// the results in index order, regardless of which worker computed what.
+/// A panic in `f` panics the caller.
 ///
-/// This is the engine's low-level primitive; the studies with bespoke
-/// per-point configurations (ambient sweeps, aged silicon) use it
-/// directly instead of going through [`SweepSpec`].
+/// The studies with bespoke per-point configurations (ambient sweeps,
+/// aged silicon) use this directly instead of going through [`SweepSpec`].
 pub fn run_indexed<T, F>(jobs: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_indexed_with(jobs, n, 1, || (), |(), idx| f(idx))
-}
-
-/// Like [`run_indexed`], but each worker carries mutable state created by
-/// `init`, and claims `chunk` consecutive indices at a time. The sweep
-/// engine uses the state for a scratch [`Simulation`] and sets `chunk` to
-/// the number of guardband modes, so every mode of one assignment lands
-/// on the worker that already built that assignment's simulation.
-///
-/// Results are returned in index order regardless of which worker
-/// computed what, and `chunk` never changes the values — only the
-/// work-to-worker mapping.
-pub fn run_indexed_with<S, T, I, F>(jobs: usize, n: usize, chunk: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    let chunk = chunk.max(1);
-    let jobs = resolve_jobs(jobs).min(n.max(1));
-    if jobs <= 1 {
-        let mut state = init();
-        return (0..n)
-            .map(|idx| {
-                telemetry::sweep_points_claimed().inc();
-                let span = trace::span("sweep_point", idx as u64);
-                let _ctx = span.push();
-                f(&mut state, idx)
-            })
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    // Workers inherit the coordinator's trace context (the campaign root)
-    // so their sweep_point spans parent identically at any worker count.
-    let ctx = trace::current_context();
-    let mut chunks: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                scope.spawn(|| {
-                    let _tctx = trace::push_context(ctx);
-                    let mut state = init();
-                    let mut local = Vec::new();
-                    let mut ready_at = Instant::now();
-                    loop {
-                        let start = next.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            // Scoped joins may return before TLS
-                            // destructors run; flush the span ring here
-                            // or the coordinator's collect can miss it.
-                            trace::flush();
-                            return local;
-                        }
-                        telemetry::sweep_chunk_wait().observe(ready_at.elapsed().as_secs_f64());
-                        for idx in start..(start + chunk).min(n) {
-                            telemetry::sweep_points_claimed().inc();
-                            let span = trace::span("sweep_point", idx as u64);
-                            let _ctx = span.push();
-                            local.push((idx, f(&mut state, idx)));
-                        }
-                        ready_at = Instant::now();
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    });
+    let schedule = Schedule::new(jobs, 1, "sweep_point", telemetry::sweep_points_claimed());
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for chunk in &mut chunks {
-        for (idx, value) in chunk.drain(..) {
-            slots[idx] = Some(value);
-        }
-    }
+    exec::run(
+        &schedule,
+        n,
+        &|_| false,
+        || (),
+        |(), idx| f(idx),
+        |idx, verdict| match verdict {
+            Ok(value) => slots[idx] = Some(value),
+            Err(failed) => panic!("index {idx} panicked: {}", failed.reason),
+        },
+    );
     slots
         .into_iter()
-        .map(|slot| slot.expect("every grid index solved"))
+        .map(|slot| slot.expect("every index ran"))
         .collect()
 }
 
@@ -1828,46 +1731,41 @@ mod tests {
     }
 
     #[test]
-    fn run_indexed_preserves_order_at_any_worker_count() {
-        let serial = run_indexed(1, 17, |i| i * i);
-        let parallel = run_indexed(8, 17, |i| i * i);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial[16], 256);
-        assert!(run_indexed(4, 0, |i| i).is_empty());
-    }
-
-    #[test]
-    fn run_indexed_with_preserves_order_for_any_chunk() {
-        let serial = run_indexed_with(1, 17, 3, || (), |(), i| i * i);
-        for jobs in [2, 8] {
-            for chunk in [1, 2, 3, 5, 17, 100] {
-                let chunked = run_indexed_with(jobs, 17, chunk, || (), |(), i| i * i);
-                assert_eq!(serial, chunked, "jobs {jobs} chunk {chunk}");
-            }
-        }
-        assert!(run_indexed_with(4, 0, 2, || (), |(), i| i).is_empty());
-        // chunk 0 is treated as 1 rather than looping forever.
-        assert_eq!(run_indexed_with(2, 3, 0, || (), |(), i| i), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn run_indexed_with_hands_chunks_to_one_worker() {
-        // Each worker tags results with its own state; consecutive
-        // indices within a chunk must share a tag.
-        let counter = AtomicUsize::new(0);
-        let tagged = run_indexed_with(
-            4,
-            12,
-            3,
-            || counter.fetch_add(1, Ordering::Relaxed),
-            |worker, idx| (idx, *worker),
-        );
-        for chunk in tagged.chunks(3) {
+    fn resume_refuses_journal_entries_outside_the_grid() {
+        // The manifest pins the spec, so an entry the grid does not hold
+        // is corruption that slipped past the segment checksums: refused
+        // before a single point is solved.
+        let spec = tiny_spec();
+        let reference = SweepEngine::with_cache(1, Arc::new(SolveCache::new()))
+            .run(&spec)
+            .unwrap();
+        let mut past_the_grid = reference.results[0].clone();
+        past_the_grid.point.index = spec.len();
+        let dir = std::env::temp_dir().join(format!("p7-sweep-stray-{}", std::process::id()));
+        for (idx, stray) in [
+            (spec.len(), past_the_grid),
+            (0, reference.results[1].clone()),
+        ] {
+            let _ = std::fs::remove_dir_all(&dir);
+            crate::journal::Journal::create(&dir, &spec.manifest())
+                .unwrap()
+                .append(&[(idx, stray)])
+                .unwrap();
+            let options = SweepRunOptions {
+                durable: DurableOptions::resumed(&dir),
+                ..SweepRunOptions::default()
+            };
+            let cache = Arc::new(SolveCache::new());
+            let err = SweepEngine::with_cache(2, cache.clone())
+                .run_durable(&spec, &options)
+                .unwrap_err();
             assert!(
-                chunk.iter().all(|(_, w)| *w == chunk[0].1),
-                "chunk split across workers: {chunk:?}"
+                matches!(&err, SimError::Journal { reason } if reason.contains("does not match")),
+                "entry {idx}: {err}"
             );
+            assert_eq!(cache.counters().misses, 0, "entry {idx}: points ran");
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -223,9 +223,9 @@ USAGE:
       Fleet-scale campaign: simulate N two-socket servers (default 1000)
       through an open-loop traffic shape. T: diurnal|flash-crowd|
       rolling-deploy (default diurnal). Servers are sharded across
-      workers and advanced through 16-lane solver batches; idle workers
-      steal whole shards, and stdout is byte-identical at any --jobs.
-      Steal/cache/throughput stats go to stderr. Journal flags behave as
+      workers and advanced through 16-lane solver batches; stdout is
+      byte-identical at any --jobs.
+      Cache/throughput stats go to stderr. Journal flags behave as
       in `ags sweep`; a resume rebuilds the campaign from the journal's
       manifest. --smoke runs the shortened CI fleet.
   ags serve --journal DIR [--addr HOST:PORT] [--jobs N] [--max-body BYTES]
@@ -611,18 +611,17 @@ fn resolve_fleet_spec(
     Ok(spec)
 }
 
-/// Prints the fleet throughput/stealing/cache footer to stderr, keeping
-/// stdout reproducible across worker counts.
+/// Prints the fleet throughput/cache footer to stderr, keeping stdout
+/// reproducible across worker counts.
 fn print_fleet_stats(report: &FleetReport) {
     let s = &report.stats;
     eprintln!(
-        "[fleet: {} shards in {:.2} s with {} jobs — {} stolen, \
+        "[fleet: {} shards in {:.2} s with {} jobs — \
          {} active / {} standby server-epochs, \
          cache {} hits / {} misses / {} evictions / {} contended]",
         s.shards,
         s.elapsed_secs,
         s.jobs,
-        s.steals,
         s.active_server_epochs,
         s.standby_server_epochs,
         s.cache.hits,

@@ -2,12 +2,13 @@
 //!
 //! The contract under test: a fleet campaign's serialized results are a
 //! pure function of its [`FleetSpec`] — independent of the worker count,
-//! of which worker stole which shard, and of whether server-epochs came
+//! of which worker claimed which shard, and of whether server-epochs came
 //! from the solve cache or were simulated cold. Plus a seeded golden
 //! trend: a flash crowd must look like a flash crowd.
 
-use ags::fleet::{FleetEngine, FleetSpec, TrafficModel};
-use ags::sim::SolveCache;
+use ags::fleet::{FleetEngine, FleetRunOptions, FleetSpec, TrafficModel};
+use ags::sim::telemetry::{point_quarantines, point_retries};
+use ags::sim::{RetryPolicy, SolveCache};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -18,8 +19,8 @@ fn engine(jobs: usize) -> FleetEngine {
 }
 
 /// A campaign small enough for CI but sharded finely enough (2 servers
-/// per shard) that multi-worker runs actually steal.
-fn stealable_spec(servers: usize, epochs: usize, traffic: TrafficModel, seed: u64) -> FleetSpec {
+/// per shard) that multi-worker runs spread shards across workers.
+fn sharded_spec(servers: usize, epochs: usize, traffic: TrafficModel, seed: u64) -> FleetSpec {
     let mut spec = FleetSpec::smoke()
         .with_scale(servers, epochs)
         .with_traffic(traffic)
@@ -32,7 +33,7 @@ fn stealable_spec(servers: usize, epochs: usize, traffic: TrafficModel, seed: u6
 
 #[test]
 fn fleet_campaign_is_identical_at_one_two_and_eight_workers() {
-    let spec = stealable_spec(14, 5, TrafficModel::Diurnal, 42);
+    let spec = sharded_spec(14, 5, TrafficModel::Diurnal, 42);
     let baseline = engine(1).run(&spec).expect("serial fleet").results_json();
     for jobs in [2, 8] {
         let run = engine(jobs).run(&spec).expect("parallel fleet");
@@ -46,7 +47,7 @@ fn fleet_campaign_is_identical_at_one_two_and_eight_workers() {
 
 #[test]
 fn warm_cache_reproduces_cold_results_exactly() {
-    let spec = stealable_spec(8, 4, TrafficModel::RollingDeploy, 7);
+    let spec = sharded_spec(8, 4, TrafficModel::RollingDeploy, 7);
     let e = engine(2);
     let cold = e.run(&spec).expect("cold fleet");
     let warm = e.run(&spec).expect("warm fleet");
@@ -65,7 +66,7 @@ fn flash_crowd_golden_trend() {
     // then a monotone decay back toward the baseline.
     // 10 epochs: the excess (80 % over baseline, halved per epoch after
     // the spike at epoch 2) reaches zero by epoch 9.
-    let spec = stealable_spec(16, 10, TrafficModel::FlashCrowd, 42);
+    let spec = sharded_spec(16, 10, TrafficModel::FlashCrowd, 42);
     let report = engine(4).run(&spec).expect("flash-crowd fleet");
     let rollup = report.epoch_rollup();
     let power: Vec<f64> = rollup.iter().map(|r| r.fleet_power_w).collect();
@@ -90,7 +91,7 @@ fn flash_crowd_golden_trend() {
 #[test]
 fn every_traffic_model_places_exactly_its_demand() {
     for traffic in TrafficModel::all() {
-        let spec = stealable_spec(10, 6, traffic, 3);
+        let spec = sharded_spec(10, 6, traffic, 3);
         let report = engine(2).run(&spec).expect("fleet");
         for r in report.epoch_rollup() {
             assert_eq!(r.threads, r.demand, "{traffic:?} epoch {}", r.epoch);
@@ -99,10 +100,33 @@ fn every_traffic_model_places_exactly_its_demand() {
     }
 }
 
+#[test]
+fn a_panicking_shard_counts_one_retry_and_one_quarantine() {
+    // Shards run through the executor's shared attempt loop, so their
+    // panics land in the same counters as sweep points. No other test in
+    // this file panics, so the deltas are exact.
+    ags::obs::metrics::global().set_enabled(true);
+    let (retries, quarantines) = (point_retries().get(), point_quarantines().get());
+    let spec = sharded_spec(8, 2, TrafficModel::Diurnal, 5);
+    let mut options = FleetRunOptions {
+        panic_injector: Some(Arc::new(|shard| shard == 1)),
+        ..FleetRunOptions::default()
+    };
+    options.durable.retry = RetryPolicy {
+        max_attempts: 2,
+        backoff_ms: 0,
+    };
+    let report = engine(2).run_durable(&spec, &options).expect("fleet");
+    assert_eq!(report.failed_shards.len(), 1);
+    assert_eq!(report.failed_shards[0].attempts, 2);
+    assert_eq!(point_retries().get() - retries, 1, "one retry");
+    assert_eq!(point_quarantines().get() - quarantines, 1, "one quarantine");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Work stealing never perturbs results: for random fleet shapes,
+    /// Scheduling never perturbs results: for random fleet shapes,
     /// traffic models and seeds, the serialized report is byte-identical
     /// at 1, 2 and 8 workers.
     #[test]
@@ -113,7 +137,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let traffic = TrafficModel::all()[traffic_idx];
-        let spec = stealable_spec(servers, epochs, traffic, seed);
+        let spec = sharded_spec(servers, epochs, traffic, seed);
         let baseline = engine(1).run(&spec).expect("serial fleet").results_json();
         for jobs in [2, 8] {
             let run = engine(jobs).run(&spec).expect("parallel fleet");
