@@ -44,8 +44,9 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Default per-thread ring capacity (events). 64Ki events × 40 B ≈ 2.5 MiB
-/// per worker at the default — plenty for smoke runs, bounded for long ones.
+/// Default per-thread ring capacity (events). 64Ki events × 72 B (the size
+/// of a [`TraceEvent`]) ≈ 4.5 MiB per worker at the default — plenty for
+/// smoke runs, bounded for long ones.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
 /// One completed span or instant marker.
@@ -452,6 +453,13 @@ mod tests {
     fn lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The ring-size arithmetic on [`DEFAULT_RING_CAPACITY`] rests on it.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn trace_event_is_72_bytes() {
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 72);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! Two long-lived threads share the [`TaskStore`]:
 //!
-//! * the **accept loop** (the caller's thread) parses HTTP requests,
-//!   journals submissions before acknowledging them, and answers
-//!   status/result/metrics queries;
+//! * the **accept loop** (the caller's thread) blocks in `accept` and
+//!   hands each connection to a thread of its own, which parses the
+//!   HTTP request, journals submissions before acknowledging them, and
+//!   answers status/result/metrics queries;
 //! * the **scheduler** claims every ready task, merges compatible
 //!   sweeps into one engine pass ([`crate::batch`]), runs it over the
 //!   shared `SolveCache`, and journals each member's terminal state —
@@ -18,7 +19,12 @@
 //! tasks are durably re-enqueued (the in-flight checkpoint), and
 //! [`serve`] returns so the CLI can exit 75. The daemon then re-arms
 //! the signal handlers at [`ServeConfig::force`]: a second signal
-//! exits immediately instead of waiting for the drain.
+//! exits immediately instead of waiting for the drain. A signal handler
+//! can only set the token's flag, which does not wake a thread blocked
+//! in `accept`; so an `ags-serve-drain-wake` thread checks the token
+//! every 25 ms (`DRAIN_CHECK`) and, once it fires, connects to the
+//! listener once. The accept loop re-checks the token after every
+//! accept and drops that connection unanswered.
 //!
 //! Degraded read-only mode: when a journal append fails (disk full,
 //! permissions yanked, device error) the daemon does not crash — it
@@ -69,15 +75,18 @@ use p7_sim::{
 use p7_workloads::Catalog;
 use serde::{Deserialize, Value};
 use std::io::{BufReader, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-/// How long the accept loop sleeps when no connection is pending, and
-/// therefore the worst-case latency to notice a drain request.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// How often the drain waker checks the drain token, and therefore the
+/// worst-case latency from the drain firing to the blocked `accept`
+/// waking. Also the accept loop's backoff after a failed `accept`
+/// (EMFILE and the like), so an error cannot spin, and the poll period
+/// of the drain's wait for open connections.
+const DRAIN_CHECK: Duration = Duration::from_millis(25);
 
 /// The scheduler's idle wait between queue scans (it is also woken
 /// eagerly on every submit and on drain). While degraded, this is also
@@ -335,9 +344,6 @@ pub fn serve(config: ServeConfig) -> Result<(), ServeError> {
         addr: config.addr.clone(),
         reason: e.to_string(),
     })?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| ServeError::Runtime(format!("cannot set listener non-blocking: {e}")))?;
     let addr = listener
         .local_addr()
         .map_err(|e| ServeError::Runtime(format!("cannot read bound address: {e}")))?;
@@ -394,9 +400,24 @@ pub fn serve(config: ServeConfig) -> Result<(), ServeError> {
             .map_err(|e| ServeError::Runtime(format!("cannot spawn scheduler: {e}")))?
     };
 
+    let waker = {
+        let drain = config.drain.clone();
+        let timeout = config.limits.io_timeout;
+        std::thread::Builder::new()
+            .name("ags-serve-drain-wake".to_owned())
+            .spawn(move || wake_accept_on_drain(&drain, wake_addr(addr), timeout))
+            .map_err(|e| ServeError::Runtime(format!("cannot spawn drain waker: {e}")))?
+    };
+
     let active = Arc::new(AtomicUsize::new(0));
     while !config.drain.is_cancelled() {
-        match listener.accept() {
+        let accepted = listener.accept();
+        // The drain waker's connection, and any client that raced the
+        // drain, is dropped unanswered.
+        if config.drain.is_cancelled() {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 telemetry::http_requests().inc();
                 if active.load(Ordering::Acquire) >= config.limits.max_connections {
@@ -424,16 +445,15 @@ pub fn serve(config: ServeConfig) -> Result<(), ServeError> {
                     telemetry::sheds().inc();
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => std::thread::sleep(DRAIN_CHECK),
         }
     }
 
-    // Drain begun: stop accepting (the listener drops below), re-arm
-    // the signal handlers so a second signal forces immediate exit,
-    // and let the scheduler checkpoint whatever is in flight.
+    // Drain begun: stop accepting, re-arm the signal handlers so a
+    // second signal forces immediate exit, and let the scheduler
+    // checkpoint whatever is in flight. The waker is joined while the
+    // listener is still open, so its one connect cannot be refused.
+    let _ = waker.join();
     drop(listener);
     if config.handle_signals {
         rearm_cancel_on_signals(&config.force);
@@ -461,12 +481,38 @@ pub fn serve(config: ServeConfig) -> Result<(), ServeError> {
     }
     let grace_deadline = Instant::now() + CONNECTION_DRAIN_GRACE;
     while active.load(Ordering::Acquire) > 0 && Instant::now() < grace_deadline {
-        std::thread::sleep(ACCEPT_POLL);
+        std::thread::sleep(DRAIN_CHECK);
     }
     let open = shared.lock_queue().open_tasks();
     log_info!("serve", open = open, queue = config.journal.display();
         "drained — open tasks checkpointed");
     Ok(())
+}
+
+/// The drain waker: waits for the drain token, then connects once to
+/// `addr` so the accept loop's blocking `accept` returns and sees it.
+fn wake_accept_on_drain(drain: &CancelToken, addr: SocketAddr, timeout: Duration) {
+    while !drain.is_cancelled() {
+        std::thread::sleep(DRAIN_CHECK);
+    }
+    if let Err(e) = TcpStream::connect_timeout(&addr, timeout) {
+        log_warn!("serve", addr = addr, error = e;
+            "drain wake-up could not connect — accept stays blocked until the next connection");
+    }
+}
+
+/// Where the drain waker connects: the bound address, with an
+/// unspecified IP (`0.0.0.0`, `::`) replaced by the loopback address of
+/// the same family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 /// The sampler thread: snapshot the registry into the history ring
@@ -780,9 +826,24 @@ fn with_task(shared: &Shared, id: &str, f: impl FnOnce(&Task) -> Response) -> Re
 
 /// `GET /tasks`: every task's status, in submit order.
 fn list_tasks(shared: &Shared) -> Response {
-    let queue = shared.lock_queue();
-    let items: Vec<Value> = queue.tasks().iter().map(task_value).collect();
-    Response::json(200, Value::Seq(items).to_json())
+    Response::json(200, render_task_list(shared.lock_queue().tasks()))
+}
+
+/// The `GET /tasks` body: byte-identical to `Value::Seq` over every
+/// [`task_value`], rendered into one buffer without first building the
+/// whole sequence (pollers hit this route back to back).
+fn render_task_list(tasks: &[Task]) -> String {
+    // A typical entry is ~75 bytes; a long retry reason only regrows.
+    let mut body = String::with_capacity(2 + tasks.len() * 80);
+    body.push('[');
+    for (i, task) in tasks.iter().enumerate() {
+        if i > 0 {
+            body.push(',');
+        }
+        body.push_str(&task_value(task).to_json());
+    }
+    body.push(']');
+    body
 }
 
 /// `POST /tasks/<id>/cancel`: only a task still waiting in `enqueued`
@@ -1864,6 +1925,80 @@ mod tests {
         assert_eq!(route_label("/tasks/9/cancel"), "/tasks/:id/cancel");
         assert_eq!(route_label("/nope"), "other");
         assert_eq!(route_label("-"), "other");
+    }
+
+    /// A drain with no traffic at all: only the drain waker can unblock
+    /// `accept`, so `serve` must still return promptly, for a loopback
+    /// bind and for an unspecified one (reached through loopback).
+    #[test]
+    fn idle_daemon_drains_promptly() {
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let dir = tmpdir("idle");
+            let (_addr, drain, handle) = start_with(&dir, |c| c.addr = bind.to_owned());
+            drain.cancel();
+            let deadline = Instant::now() + Duration::from_secs(2);
+            while !handle.is_finished() {
+                assert!(
+                    Instant::now() < deadline,
+                    "{bind}: serve still running 2 s after the drain"
+                );
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            handle.join().expect("serve thread").expect("clean drain");
+        }
+    }
+
+    #[test]
+    fn drain_waker_reaches_unspecified_binds_through_loopback() {
+        let wake = |bound: &str| wake_addr(bound.parse().expect("address")).to_string();
+        assert_eq!(wake("0.0.0.0:7075"), "127.0.0.1:7075");
+        assert_eq!(wake("[::]:7075"), "[::1]:7075");
+        assert_eq!(wake("10.1.2.3:80"), "10.1.2.3:80");
+    }
+
+    /// Sequential requests on fresh connections: none waits for the
+    /// listener, so forty take well under the 1 s that a 25 ms accept
+    /// poll would add.
+    #[test]
+    fn back_to_back_requests_do_not_wait_for_accept() {
+        let dir = tmpdir("back-to-back");
+        let (addr, drain, handle) = start(&dir);
+        let started = Instant::now();
+        for _ in 0..40 {
+            assert_eq!(http(addr, "GET", "/healthz", "").0, 200);
+        }
+        let elapsed = started.elapsed();
+        drain.cancel();
+        handle.join().expect("serve thread").expect("clean drain");
+        assert!(
+            elapsed < Duration::from_millis(400),
+            "40 requests took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn task_list_matches_the_value_rendering_byte_for_byte() {
+        let dir = tmpdir("list");
+        let (mut store, _) = TaskStore::open(&dir).expect("open store");
+        assert_eq!(render_task_list(store.tasks()), "[]");
+        for _ in 0..3 {
+            store
+                .submit(TaskKind::Sweep, tiny_spec().to_json())
+                .expect("submit");
+        }
+        store
+            .transition(&[TaskUpdate {
+                id: 2,
+                state: TaskState::Failed,
+                attempts: 1,
+                reason: "quote \" backslash \\ newline \n end".to_owned(),
+                output: String::new(),
+                retry_at_ms: 0,
+            }])
+            .expect("transition");
+        let expected = Value::Seq(store.tasks().iter().map(task_value).collect()).to_json();
+        assert!(expected.contains(r#"quote \" backslash \\ newline \n end"#));
+        assert_eq!(render_task_list(store.tasks()), expected);
     }
 
     /// The on-disk flight-recorder log makes `/metrics/history` span a
