@@ -14,8 +14,9 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use p7_control::GuardbandMode;
-use p7_sim::sweep::SolveCache;
-use p7_sim::{Assignment, DurableOptions, Experiment, SweepEngine, SweepRunOptions, SweepSpec};
+use p7_sim::{
+    Assignment, DurableOptions, Experiment, SolveCache, SweepEngine, SweepRunOptions, SweepSpec,
+};
 use p7_workloads::Catalog;
 
 const WORKLOADS: [&str; 3] = ["raytrace", "lu_cb", "mcf"];

@@ -29,12 +29,11 @@ use crate::telemetry;
 use crate::traffic::CORES_PER_SERVER;
 use ags_core::cluster::ClusterConfig;
 use p7_control::GuardbandMode;
-use p7_sim::exec::Schedule;
-use p7_sim::journal::{fnv64, run_durable_indexed};
-use p7_sim::sweep::{experiment_fingerprint, resolve_jobs, CacheStats};
+use p7_sim::exec::{resolve_jobs, Schedule};
+use p7_sim::journal::run_durable_indexed;
 use p7_sim::{
-    run_group, Assignment, DurableOptions, Experiment, FailedPoint, Outcome, ServerConfig,
-    SimError, Simulation, SolveCache,
+    assignment_fingerprint, experiment_fingerprint, Assignment, CacheStats, DurableOptions,
+    Experiment, FailedPoint, Outcome, ServerConfig, SimError, SolveCache, SolveRequest,
 };
 use p7_types::{CORES_PER_SOCKET, NUM_SOCKETS};
 use p7_workloads::{Catalog, ExecutionModel, WorkloadProfile};
@@ -301,13 +300,6 @@ struct FleetContext {
     tenants: Vec<Tenant>,
 }
 
-/// Per-worker scratch. Rebuilt from `Default` after a caught panic, since
-/// the unwound solve may have left it mid-use.
-#[derive(Default)]
-struct FleetScratch {
-    probe: Vec<Option<Arc<Outcome>>>,
-}
-
 /// The fleet campaign runner: shards servers across `jobs` workers and
 /// advances each shard through [`FLEET_GROUP_LANES`]-wide solver batches.
 pub struct FleetEngine {
@@ -374,12 +366,12 @@ impl FleetEngine {
         let solved = run_durable_indexed(
             Schedule::new(self.jobs, 1, "fleet_shard", telemetry::shards_claimed()),
             shards,
-            FleetScratch::default,
-            |scratch, shard| {
+            || (),
+            |(), shard| {
                 if let Some(inject) = &options.panic_injector {
                     assert!(!inject(shard), "injected panic at fleet shard {shard}");
                 }
-                self.solve_shard(&ctx, shard, scratch)
+                self.solve_shard(&ctx, shard)
             },
             |idx, result: &ShardResult| {
                 result.shard == idx && result.servers.len() == spec.shard_range(idx).len()
@@ -452,15 +444,15 @@ impl FleetEngine {
         })
     }
 
-    /// Solves one shard: every server's trajectory through every epoch.
-    /// Cache misses of one epoch are batched through a single
-    /// [`FLEET_GROUP_LANES`]-wide group solve. Returns the result plus
-    /// its journal-worthiness (any epoch actually computed).
+    /// Solves one shard: every server's trajectory through every epoch,
+    /// each shard-epoch's active servers in one
+    /// [`FLEET_GROUP_LANES`]-wide [`SolveCache::solve_group`] call.
+    /// Returns the result plus its journal-worthiness (any epoch actually
+    /// computed).
     fn solve_shard(
         &self,
         ctx: &FleetContext,
         shard: usize,
-        scratch: &mut FleetScratch,
     ) -> Result<(ShardResult, bool), SimError> {
         let spec = &ctx.spec;
         let range = spec.shard_range(shard);
@@ -475,81 +467,55 @@ impl FleetEngine {
             .collect();
         let mut journal_worthy = false;
 
-        // (local index, threads, assignment, assignment fingerprint) of
-        // the epoch's cache misses, group-solved below.
-        let mut missing: Vec<(usize, usize, Assignment, u64)> = Vec::new();
-        let mut sims: Vec<Simulation> = Vec::new();
+        // (server, threads, assignment) of the epoch's active servers.
+        let mut active: Vec<(usize, usize, Assignment)> = Vec::new();
+        let mut solved: Vec<(Arc<Outcome>, bool)> = Vec::new();
         for epoch in 0..spec.epochs {
-            missing.clear();
+            active.clear();
             for server in range.clone() {
-                let local = server - base;
                 let threads = offered_threads(spec, server, epoch);
+                // Idle servers keep standby; active ones are overwritten
+                // once the epoch is solved.
+                servers[server - base].epochs.push(EpochOutcome::standby());
                 if threads == 0 {
                     telemetry::idle_server_epochs().inc();
-                    servers[local].epochs.push(EpochOutcome::standby());
                     continue;
                 }
                 telemetry::server_epochs().inc();
-                let tenant = &ctx.tenants[server];
-                let assignment = place(&tenant.workload, threads)?;
-                let assignment_fp = fnv64(serde::json::to_string(&assignment).as_bytes());
-                self.cache.probe_lanes(
-                    tenant.experiment_fp,
-                    assignment_fp,
-                    &[FLEET_MODE],
-                    spec.measure_ticks,
-                    spec.warmup_ticks,
-                    0,
-                    &mut scratch.probe,
-                );
-                match scratch.probe[0].take() {
-                    Some(hit) => servers[local]
-                        .epochs
-                        .push(EpochOutcome::from_outcome(&hit, threads)),
-                    None => {
-                        // Placeholder, replaced after the group solve.
-                        servers[local].epochs.push(EpochOutcome::standby());
-                        missing.push((local, threads, assignment, assignment_fp));
-                    }
-                }
+                active.push((
+                    server,
+                    threads,
+                    place(&ctx.tenants[server].workload, threads)?,
+                ));
             }
-            if missing.is_empty() {
-                continue;
-            }
+            let requests: Vec<SolveRequest<'_>> = active
+                .iter()
+                .map(|(server, _, assignment)| SolveRequest {
+                    experiment: &ctx.tenants[*server].experiment,
+                    experiment_fp: ctx.tenants[*server].experiment_fp,
+                    assignment,
+                    assignment_fp: assignment_fingerprint(assignment),
+                    mode: FLEET_MODE,
+                })
+                .collect();
+            self.cache
+                .solve_group::<FLEET_GROUP_LANES>(&requests, &mut solved)?;
 
-            sims.clear();
-            for (local, _, assignment, _) in &missing {
-                sims.push(
-                    ctx.tenants[base + local]
-                        .experiment
-                        .build_simulation(assignment, FLEET_MODE)?,
-                );
-            }
-            let lanes_per_group = FLEET_GROUP_LANES / NUM_SOCKETS;
-            for group in sims.chunks(lanes_per_group) {
+            // Every server has its own silicon and every shard its own
+            // servers, so no two requests of a campaign share a key: the
+            // entries this call computed are exactly the servers it
+            // simulated, packed in groups of `FLEET_GROUP_LANES` lanes.
+            let simulated = solved.iter().filter(|(_, computed)| *computed).count();
+            let per_group = FLEET_GROUP_LANES / NUM_SOCKETS;
+            for first in (0..simulated).step_by(per_group) {
                 #[allow(clippy::cast_precision_loss)]
-                telemetry::group_lanes().observe((group.len() * NUM_SOCKETS) as f64);
+                telemetry::group_lanes()
+                    .observe(((simulated - first).min(per_group) * NUM_SOCKETS) as f64);
             }
-            let mut refs: Vec<&mut Simulation> = sims.iter_mut().collect();
-            let summaries =
-                run_group::<FLEET_GROUP_LANES>(&mut refs, spec.measure_ticks, spec.warmup_ticks);
-
-            for ((local, threads, assignment, assignment_fp), summary) in
-                missing.drain(..).zip(summaries)
-            {
-                let tenant = &ctx.tenants[base + local];
-                let outcome = tenant.experiment.outcome_from_summary(&assignment, summary);
-                let (solved, computed) = self.cache.solve_with_status(
-                    tenant.experiment_fp,
-                    assignment_fp,
-                    FLEET_MODE,
-                    spec.measure_ticks,
-                    spec.warmup_ticks,
-                    0,
-                    || Ok(outcome),
-                )?;
-                journal_worthy |= computed;
-                servers[local].epochs[epoch] = EpochOutcome::from_outcome(&solved, threads);
+            journal_worthy |= simulated > 0;
+            for ((server, threads, _), (outcome, _)) in active.iter().zip(&solved) {
+                servers[server - base].epochs[epoch] =
+                    EpochOutcome::from_outcome(outcome, *threads);
             }
         }
 

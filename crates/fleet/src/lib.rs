@@ -10,10 +10,10 @@
 //! * **Sharding** — servers are cut into contiguous shards, each solved by
 //!   one worker with private scratch; nothing on the tick path is shared
 //!   mutable state.
-//! * **Wide lanes** — each shard-epoch's unsolved servers are packed into
-//!   one 16-lane [`p7_sim::SolveBatch`] group solve
-//!   ([`p7_sim::run_group`]), so the SoA kernel runs at full width instead
-//!   of two lanes per server.
+//! * **Wide lanes** — each shard-epoch's active servers go to one
+//!   [`p7_sim::SolveCache::solve_group`] call, which packs the uncached
+//!   ones into a 16-lane [`p7_sim::SolveBatch`] group solve, so the SoA
+//!   kernel runs at full width instead of two lanes per server.
 //! * **One executor** — shards run on the campaign executor shared with
 //!   sweeps ([`p7_sim::exec`]): workers claim the next shard from one
 //!   atomic cursor. Scheduling moves *where* a shard is computed, never
@@ -39,5 +39,5 @@ pub use engine::{
     offered_threads, EpochOutcome, EpochRollup, FleetEngine, FleetReport, FleetRunOptions,
     FleetStats, ServerResult, ShardPanicInjector, ShardResult, FLEET_GROUP_LANES, FLEET_MODE,
 };
-pub use spec::{FleetSpec, DEFAULT_SHARD_SERVERS};
+pub use spec::{FleetSpec, DEFAULT_SHARD_SERVERS, MAX_FLEET_SERVERS, MAX_FLEET_SERVER_EPOCHS};
 pub use traffic::TrafficModel;

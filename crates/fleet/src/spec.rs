@@ -3,7 +3,7 @@
 //! be journaled and resumed exactly like sweeps.
 
 use crate::traffic::{TrafficModel, CORES_PER_SERVER};
-use p7_sim::{CampaignManifest, SimError};
+use p7_sim::{validate_run_windows, CampaignManifest, SimError};
 use p7_workloads::Catalog;
 use serde::{Deserialize, Serialize};
 
@@ -11,6 +11,17 @@ use serde::{Deserialize, Serialize};
 /// 16-lane solve group, so a worker converges a whole shard-epoch in a
 /// single kernel pass.
 pub const DEFAULT_SHARD_SERVERS: usize = 8;
+
+/// Most servers one fleet spec may describe (1 Mi). The engine compiles
+/// one tenant (experiment, workload profile and fingerprint, about
+/// 470 B) per server up front, so a fleet at the bound takes about
+/// 500 MB before the first epoch runs; the full campaign has 1000.
+pub const MAX_FLEET_SERVERS: usize = 1 << 20;
+
+/// Most server-epochs (`servers × epochs`) one fleet spec may describe
+/// (16 Mi). The report holds one 40 B `EpochOutcome` per server-epoch,
+/// about 670 MB at the bound; the full campaign has 24 000.
+pub const MAX_FLEET_SERVER_EPOCHS: usize = 1 << 24;
 
 /// A complete fleet campaign description.
 ///
@@ -109,8 +120,10 @@ impl FleetSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] for an empty fleet, horizon,
-    /// shard size or measurement window, or an empty catalog.
+    /// Returns [`SimError::InvalidConfig`] for an empty fleet, horizon
+    /// or shard size, or an empty catalog; [`SimError::Spec`] for a fleet
+    /// above [`MAX_FLEET_SERVERS`] or [`MAX_FLEET_SERVER_EPOCHS`], or tick
+    /// counts that fail [`validate_run_windows`].
     pub fn validate(&self, catalog: &Catalog) -> Result<(), SimError> {
         let invalid = |reason: &'static str| Err(SimError::InvalidConfig { reason });
         if self.servers == 0 {
@@ -119,9 +132,28 @@ impl FleetSpec {
         if self.epochs == 0 {
             return invalid("fleet needs at least one epoch");
         }
-        if self.measure_ticks == 0 {
-            return invalid("fleet needs at least one measured window per epoch");
+        if self.servers > MAX_FLEET_SERVERS {
+            return Err(SimError::Spec {
+                reason: format!(
+                    "fleet of {} servers exceeds the {MAX_FLEET_SERVERS}-server bound",
+                    self.servers
+                ),
+            });
         }
+        if self
+            .servers
+            .checked_mul(self.epochs)
+            .is_none_or(|n| n > MAX_FLEET_SERVER_EPOCHS)
+        {
+            return Err(SimError::Spec {
+                reason: format!(
+                    "fleet of {} servers x {} epochs exceeds the \
+                     {MAX_FLEET_SERVER_EPOCHS}-server-epoch bound",
+                    self.servers, self.epochs
+                ),
+            });
+        }
+        validate_run_windows(self.measure_ticks, self.warmup_ticks)?;
         if self.shard_servers == 0 {
             return invalid("fleet shards need at least one server");
         }
@@ -164,6 +196,7 @@ impl FleetSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p7_sim::MAX_RUN_WINDOWS;
 
     #[test]
     fn spec_round_trips_through_json() {
@@ -210,6 +243,30 @@ mod tests {
         let mut zero_shard = FleetSpec::smoke();
         zero_shard.shard_servers = 0;
         assert!(zero_shard.validate(&catalog).is_err());
+    }
+
+    #[test]
+    fn validation_bounds_fleet_size_and_run_windows() {
+        let catalog = Catalog::power7plus();
+        let refused =
+            |spec: &FleetSpec| matches!(spec.validate(&catalog), Err(SimError::Spec { .. }));
+        // Exactly at both size bounds.
+        let at_bound = FleetSpec::smoke().with_scale(MAX_FLEET_SERVERS, 16);
+        assert_eq!(at_bound.servers * at_bound.epochs, MAX_FLEET_SERVER_EPOCHS);
+        assert!(at_bound.validate(&catalog).is_ok());
+        assert!(refused(
+            &FleetSpec::smoke().with_scale(MAX_FLEET_SERVERS + 1, 1)
+        ));
+        assert!(refused(
+            &FleetSpec::smoke().with_scale(MAX_FLEET_SERVERS, 17)
+        ));
+        assert!(refused(&FleetSpec::smoke().with_scale(2, usize::MAX)));
+
+        let mut ticks = FleetSpec::smoke();
+        ticks.measure_ticks = MAX_RUN_WINDOWS - ticks.warmup_ticks;
+        assert!(ticks.validate(&catalog).is_ok());
+        ticks.measure_ticks += 1;
+        assert!(refused(&ticks));
     }
 
     #[test]

@@ -1858,6 +1858,50 @@ mod tests {
         handle.join().expect("serve thread").expect("clean drain");
     }
 
+    /// Specs no validator bounded before: a sweep whose run window asks
+    /// for 880 GB of telemetry, and a fleet of a billion servers.
+    fn oversized_submissions() -> [(TaskKind, String); 2] {
+        let mut sweep = tiny_spec();
+        sweep.measure_ticks = 10_000_000_000;
+        let mut fleet = FleetSpec::smoke();
+        fleet.servers = 1_000_000_000;
+        [
+            (TaskKind::Sweep, sweep.to_json()),
+            (TaskKind::Fleet, fleet.to_json()),
+        ]
+    }
+
+    #[test]
+    fn oversized_specs_are_refused_at_submit() {
+        for (kind, spec_json) in oversized_submissions() {
+            let body = format!("{{\"kind\":\"{}\",\"spec\":{spec_json}}}", kind.label());
+            let err = canonicalize_submission(body.as_bytes()).unwrap_err();
+            assert!(err.contains("exceeds the"), "{}: {err}", kind.label());
+        }
+    }
+
+    #[test]
+    fn oversized_specs_journaled_earlier_fail_when_claimed() {
+        // Tasks acknowledged before submission bounded their specs are
+        // still in old journals; claiming one must fail the task with
+        // the validation reason instead of aborting the daemon.
+        let dir = tmpdir("oversized");
+        {
+            let (mut queue, _) = TaskStore::open(&dir).expect("open queue");
+            for (kind, spec_json) in oversized_submissions() {
+                queue.submit(kind, spec_json).expect("journal task");
+            }
+        }
+        let (addr, drain, handle) = start(&dir);
+        for id in [1, 2] {
+            wait_for_state(addr, id, "failed");
+            let (_, body) = http(addr, "GET", &format!("/tasks/{id}"), "");
+            assert!(body.contains("exceeds the"), "{body}");
+        }
+        drain.cancel();
+        handle.join().expect("serve thread").expect("clean drain");
+    }
+
     #[test]
     fn watchdog_quarantines_stuck_batches() {
         let dir = tmpdir("watchdog");

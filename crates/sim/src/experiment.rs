@@ -17,6 +17,35 @@ pub const DEFAULT_MEASURE_TICKS: usize = 60;
 /// Default warm-up windows discarded before measuring (~1 s).
 pub const DEFAULT_WARMUP_TICKS: usize = 30;
 
+/// Most windows one run may ask for (`measure_ticks + warmup_ticks`).
+/// A run reserves 88 B of telemetry per window per socket up front, so a
+/// full 16-lane fleet group (16 sockets) at the bound reserves about
+/// 141 MB; the longest shipped run is 10 000 windows.
+pub const MAX_RUN_WINDOWS: usize = 100_000;
+
+/// The tick check every campaign spec's `validate` shares: at least one
+/// measured window, and at most [`MAX_RUN_WINDOWS`] in total.
+///
+/// # Errors
+///
+/// Returns [`SimError::Spec`] naming the violated bound.
+pub fn validate_run_windows(measure_ticks: usize, warmup_ticks: usize) -> Result<(), SimError> {
+    if measure_ticks == 0 {
+        return Err(SimError::Spec {
+            reason: "measure_ticks must be at least 1".to_owned(),
+        });
+    }
+    match measure_ticks.checked_add(warmup_ticks) {
+        Some(windows) if windows <= MAX_RUN_WINDOWS => Ok(()),
+        _ => Err(SimError::Spec {
+            reason: format!(
+                "measure_ticks + warmup_ticks ({measure_ticks} + {warmup_ticks}) exceeds the \
+                 {MAX_RUN_WINDOWS}-window bound"
+            ),
+        }),
+    }
+}
+
 /// The complete result of one experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Outcome {
@@ -73,6 +102,9 @@ pub struct Experiment {
     measure_ticks: usize,
     warmup_ticks: usize,
     faults: Option<FaultPlan>,
+    /// [`FaultPlan::fingerprint`] of `faults`, computed once: it joins
+    /// every solve-cache key, so it must not re-serialize the plan.
+    fault_fp: u64,
 }
 
 impl Experiment {
@@ -85,6 +117,7 @@ impl Experiment {
             measure_ticks: DEFAULT_MEASURE_TICKS,
             warmup_ticks: DEFAULT_WARMUP_TICKS,
             faults: None,
+            fault_fp: 0,
         }
     }
 
@@ -97,6 +130,7 @@ impl Experiment {
             measure_ticks: DEFAULT_MEASURE_TICKS,
             warmup_ticks: DEFAULT_WARMUP_TICKS,
             faults: None,
+            fault_fp: 0,
         }
     }
 
@@ -111,6 +145,7 @@ impl Experiment {
     /// Injects a fault plan into every simulation this runner builds.
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
+        self.fault_fp = plan.fingerprint();
         self.faults = Some(plan);
         self
     }
@@ -125,7 +160,7 @@ impl Experiment {
     /// component that keeps faulted and healthy solves apart in caches.
     #[must_use]
     pub fn fault_fingerprint(&self) -> u64 {
-        self.faults.as_ref().map_or(0, FaultPlan::fingerprint)
+        self.fault_fp
     }
 
     /// The server configuration.
@@ -186,8 +221,7 @@ impl Experiment {
     /// its initial state under `mode` first. Because [`Simulation::reset`]
     /// reproduces fresh construction bitwise, this returns exactly what
     /// [`Experiment::run`] would for the simulation's assignment — without
-    /// re-deriving the chips. This is how sweep workers run the three
-    /// guardband modes of one assignment on a single construction.
+    /// re-deriving the chips.
     ///
     /// # Errors
     ///
@@ -322,6 +356,20 @@ mod tests {
             let fresh = exp.run(&a, mode).unwrap();
             assert_eq!(reused, fresh, "mode {mode:?}");
         }
+    }
+
+    #[test]
+    fn run_windows_are_bounded_on_both_sides() {
+        assert!(validate_run_windows(0, 0).is_err(), "nothing measured");
+        assert!(validate_run_windows(1, 0).is_ok());
+        assert!(validate_run_windows(MAX_RUN_WINDOWS, 0).is_ok());
+        assert!(validate_run_windows(1, MAX_RUN_WINDOWS - 1).is_ok());
+        assert!(validate_run_windows(MAX_RUN_WINDOWS, 1).is_err());
+        assert!(validate_run_windows(1, MAX_RUN_WINDOWS).is_err());
+        assert!(
+            validate_run_windows(usize::MAX, 1).is_err(),
+            "the sum must not wrap"
+        );
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! the scalar loop bit for bit per lane regardless of its neighbours (the
 //! PR 6 differential harness's guarantee) — so a group tick is *bitwise
 //! identical* to ticking each server alone. That equivalence is what lets
-//! the fleet engine and the sweep workers regroup servers freely (and
-//! steal them across workers) without perturbing a single result.
+//! [`crate::cache::SolveCache::solve_group`] pack whichever requests
+//! missed the cache — a sweep block's modes, a fleet shard-epoch's
+//! servers — into one group without perturbing a single result.
 
 use crate::chip::{SocketTick, TickPrelude};
 use crate::measure::{Accumulator, RunSummary};

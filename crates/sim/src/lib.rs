@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod assignment;
+pub mod cache;
 pub mod chip;
 pub mod config;
 pub mod error;
@@ -53,9 +54,16 @@ pub mod telemetry;
 pub mod vfs;
 
 pub use assignment::{Assignment, Thread};
+pub use cache::{
+    assignment_fingerprint, experiment_fingerprint, CacheStats, CachedExperiment, SolveCache,
+    SolveRequest, DEFAULT_CACHE_CAPACITY,
+};
 pub use config::ServerConfig;
 pub use error::SimError;
-pub use experiment::{Experiment, Outcome, DEFAULT_MEASURE_TICKS, DEFAULT_WARMUP_TICKS};
+pub use experiment::{
+    validate_run_windows, Experiment, Outcome, DEFAULT_MEASURE_TICKS, DEFAULT_WARMUP_TICKS,
+    MAX_RUN_WINDOWS,
+};
 pub use fsck::{FsckReport, ManifestStatus, SegmentVerdict};
 pub use group::{run_group, GroupTicker};
 pub use history::{History, SimEvent, SimEventKind, TickRecord};
@@ -67,8 +75,7 @@ pub use resilience::{ResilienceReport, ResilienceSpec, ScenarioResult};
 pub use server::Simulation;
 pub use solve::{LaneSolution, LaneSpec, SolveBatch, MAX_SOLVE_ITERATIONS, SOLVE_TOLERANCE};
 pub use sweep::{
-    experiment_fingerprint, CacheStats, CachedExperiment, GridPoint, PanicInjector, Placement,
-    PointResult, SolveCache, SweepEngine, SweepReport, SweepRunOptions, SweepSpec,
-    DEFAULT_CACHE_CAPACITY, GROUP_SOLVE_LANES,
+    GridPoint, PanicInjector, Placement, PointResult, SweepEngine, SweepReport, SweepRunOptions,
+    SweepSpec, GROUP_SOLVE_LANES, MAX_SWEEP_POINTS,
 };
 pub use vfs::{std_fs, DynFs, Fs, StdFs};

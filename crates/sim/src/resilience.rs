@@ -25,7 +25,7 @@
 use crate::assignment::Assignment;
 use crate::error::SimError;
 use crate::exec::Schedule;
-use crate::experiment::Experiment;
+use crate::experiment::{validate_run_windows, Experiment};
 use crate::history::SimEvent;
 use crate::journal::{run_durable_indexed, CampaignManifest, DurableOptions, FailedPoint};
 use crate::telemetry;
@@ -97,9 +97,10 @@ impl ResilienceSpec {
         self.len() == 0
     }
 
-    /// Checks the campaign is well-formed: non-empty dimensions, a known
-    /// workload, a legal core count, valid scenarios (distinct names) and
-    /// valid supervisor thresholds. Modes must be adaptive — a "static
+    /// Checks the campaign is well-formed: non-empty dimensions, tick
+    /// counts that pass [`validate_run_windows`], a known workload, a
+    /// legal core count, valid scenarios (distinct names) and valid
+    /// supervisor thresholds. Modes must be adaptive — a "static
     /// resilience" cell has no benefit to retain.
     ///
     /// # Errors
@@ -111,6 +112,7 @@ impl ResilienceSpec {
                 reason: "campaign has an empty dimension".to_owned(),
             });
         }
+        validate_run_windows(self.measure_ticks, self.warmup_ticks)?;
         catalog.require(&self.workload)?;
         if !(1..=8).contains(&self.cores) {
             return Err(SimError::InvalidAssignment {
@@ -433,6 +435,7 @@ impl ResilienceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::MAX_RUN_WINDOWS;
 
     fn quick_spec() -> ResilienceSpec {
         let mut spec = ResilienceSpec::smoke();
@@ -478,6 +481,21 @@ mod tests {
             empty.validate(&catalog),
             Err(SimError::Resilience { .. })
         ));
+    }
+
+    #[test]
+    fn validate_bounds_run_windows() {
+        let catalog = Catalog::power7plus();
+        let mut spec = quick_spec();
+        spec.measure_ticks = MAX_RUN_WINDOWS - spec.warmup_ticks;
+        assert!(spec.validate(&catalog).is_ok());
+        spec.measure_ticks += 1;
+        assert!(matches!(
+            spec.validate(&catalog),
+            Err(SimError::Spec { .. })
+        ));
+        spec.measure_ticks = 0;
+        assert!(spec.validate(&catalog).is_err());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Parallel sweep engine with memoized steady-state solves.
+//! Parallel sweep engine over the memoized steady-state solve.
 //!
 //! The paper's evaluation is a large grid — 44 workloads × 1–8 active
 //! cores × {static, undervolt, overclock} × placements — and every figure
@@ -10,13 +10,12 @@
 //!   the master seed and tick counts),
 //! * [`SweepEngine`] — expands the spec into [`GridPoint`]s, runs them on
 //!   the campaign executor ([`crate::exec`]), one assignment block (every
-//!   mode of one workload × cores × placement) per claim, and merges the
+//!   mode of one workload × cores × placement) per claim, solves each
+//!   block with one [`SolveCache::solve_group`] call, and merges the
 //!   results by grid index, so the output order never depends on
-//!   scheduling,
-//! * [`SolveCache`] — a memoization table keyed by the electrically
-//!   relevant state (configuration fingerprint, assignment fingerprint,
-//!   mode, tick counts) so repeated steady-state solves are computed
-//!   once, with hit/miss counters reported at sweep end.
+//!   scheduling.
+//!
+//! The cache itself lives in [`crate::cache`].
 //!
 //! Determinism: each grid point derives its own seed from the spec's
 //! master seed and the point's coordinates (workload, core count,
@@ -26,21 +25,21 @@
 //! worker count.
 
 use crate::assignment::Assignment;
+use crate::cache::{
+    assignment_fingerprint, experiment_fingerprint, splitmix, CacheStats, SolveCache, SolveRequest,
+};
 use crate::error::SimError;
 use crate::exec::{self, Schedule};
-use crate::experiment::{Experiment, Outcome};
-use crate::group::run_group;
+use crate::experiment::{validate_run_windows, Experiment, Outcome};
 use crate::journal::{fnv64, run_durable_indexed, CampaignManifest, DurableOptions, FailedPoint};
-use crate::server::Simulation;
 use crate::telemetry;
 use p7_control::GuardbandMode;
 use p7_faults::FaultPlan;
-use p7_workloads::{Catalog, ExecutionModel, WorkloadProfile};
+use p7_workloads::{Catalog, WorkloadProfile};
 use serde::{de, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 pub use crate::exec::resolve_jobs;
@@ -178,6 +177,12 @@ impl Deserialize for SweepSpec {
 /// The default sweep seed (the figure binaries' master seed).
 pub const DEFAULT_SWEEP_SEED: u64 = 42;
 
+/// Most grid points one sweep spec may expand to (1 Mi). A point costs
+/// a [`GridPoint`] when the grid expands and a [`PointResult`] of
+/// about 1 KiB once solved, so a grid at the bound holds about 1 GiB of
+/// results; the largest shipped grid has a few thousand points.
+pub const MAX_SWEEP_POINTS: usize = 1 << 20;
+
 impl SweepSpec {
     /// A spec over `workloads × cores` with the defaults the figure
     /// binaries use: all three modes, single-socket placement, seed 42,
@@ -255,16 +260,24 @@ impl SweepSpec {
         SweepSpec::new(vec!["lu_cb".to_owned(), "radix".to_owned()], vec![2, 4]).with_ticks(10, 5)
     }
 
-    /// Number of grid points.
+    /// Number of grid points, saturating at `usize::MAX` for a grid too
+    /// large to count ([`SweepSpec::validate`] refuses anything above
+    /// [`MAX_SWEEP_POINTS`]).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.workloads.len() * self.cores.len() * self.placements.len() * self.modes.len()
+        [self.cores.len(), self.placements.len(), self.modes.len()]
+            .into_iter()
+            .try_fold(self.workloads.len(), usize::checked_mul)
+            .unwrap_or(usize::MAX)
     }
 
     /// True when any dimension is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.workloads.is_empty()
+            || self.cores.is_empty()
+            || self.placements.is_empty()
+            || self.modes.is_empty()
     }
 
     /// Expands the spec into grid points, workload-major.
@@ -327,8 +340,10 @@ impl SweepSpec {
         CampaignManifest::new("sweep", self.seed, self.to_json())
     }
 
-    /// Checks that every dimension is non-empty, every workload exists
-    /// in the catalog and every core count fits a socket.
+    /// Checks that every dimension is non-empty, the grid holds at most
+    /// [`MAX_SWEEP_POINTS`] points, the tick counts pass
+    /// [`validate_run_windows`], every workload exists in the catalog and
+    /// every core count fits a socket.
     ///
     /// # Errors
     ///
@@ -339,6 +354,15 @@ impl SweepSpec {
                 reason: "sweep spec has an empty dimension",
             });
         }
+        if self.len() > MAX_SWEEP_POINTS {
+            return Err(SimError::Spec {
+                reason: format!(
+                    "sweep grid of {} points exceeds the {MAX_SWEEP_POINTS}-point bound",
+                    self.len()
+                ),
+            });
+        }
+        validate_run_windows(self.measure_ticks, self.warmup_ticks)?;
         for name in &self.workloads {
             catalog.require(name)?;
         }
@@ -379,485 +403,6 @@ pub struct PointResult {
     pub point: GridPoint,
     /// The steady-state outcome of the run.
     pub outcome: Outcome,
-}
-
-/// Hit/miss counters of a [`SolveCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct CacheStats {
-    /// Solves answered from the cache.
-    pub hits: u64,
-    /// Solves that had to run the simulator.
-    pub misses: u64,
-    /// Distinct entries currently stored, summed across shards.
-    pub entries: usize,
-    /// Entries dropped by capacity eviction over the cache's lifetime.
-    pub evictions: u64,
-    /// Lock acquisitions that found their shard already held by another
-    /// thread (each waited instead of failing). A fleet-scale probe storm
-    /// shows up here long before it shows up in wall-clock time.
-    pub contended: u64,
-}
-
-// Hand-written so reports serialized before the cache was sharded still
-// parse: a missing "contended" key reads as an uncontended cache. The
-// derived impl would reject the old files outright.
-impl Deserialize for CacheStats {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        fn req<T: Deserialize>(v: &Value, name: &str) -> Result<T, de::Error> {
-            T::from_value(v.field(name)?).map_err(|e| e.in_context(name))
-        }
-        let contended = match v.field("contended") {
-            Ok(value) => u64::from_value(value).map_err(|e| e.in_context("contended"))?,
-            Err(_) => 0,
-        };
-        Ok(CacheStats {
-            hits: req(v, "hits")?,
-            misses: req(v, "misses")?,
-            entries: req(v, "entries")?,
-            evictions: req(v, "evictions")?,
-            contended,
-        })
-    }
-}
-
-impl CacheStats {
-    /// Fraction of solves answered from the cache (0 when idle).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct SolveKey {
-    config_fingerprint: u64,
-    assignment_fingerprint: u64,
-    mode: GuardbandMode,
-    measure_ticks: usize,
-    warmup_ticks: usize,
-    /// [`Experiment::fault_fingerprint`]: 0 for healthy solves, the
-    /// installed plan's fingerprint otherwise. Keeps faulted trajectories
-    /// out of healthy lookups and vice versa.
-    fault_fingerprint: u64,
-}
-
-/// Default capacity of a [`SolveCache`] (entries). An entry holds one
-/// `Outcome` (~1 KiB), so the default bounds the cache to tens of MiB —
-/// week-long campaigns stop growing the process without bound.
-pub const DEFAULT_CACHE_CAPACITY: usize = 16_384;
-
-/// Number of independently locked shards in a [`SolveCache`]. Keys are
-/// spread by a splitmix of their fingerprints, so concurrent probes from
-/// a fleet's worth of workers land on different locks with high
-/// probability instead of serializing on one.
-const CACHE_SHARDS: usize = 16;
-
-/// Memoization table for steady-state solves, shared across threads.
-///
-/// The key fingerprints everything a solve depends on: the full server
-/// configuration (rails, curves, policy, seed), the assignment (workload
-/// profiles, active-core set), the guardband mode and the tick counts.
-/// Two racing workers may both miss on the same key; the solve is
-/// deterministic, so whichever insert lands last stores the same bytes.
-///
-/// The table is split into [`CACHE_SHARDS`] independently locked shards
-/// (keyed by a mix of the fingerprints) so fleet-scale concurrent probes
-/// don't contend on a single lock; the `contended` counter in
-/// [`CacheStats`] reports how often a thread still had to wait.
-///
-/// Capacity is bounded (see [`DEFAULT_CACHE_CAPACITY`], split evenly
-/// across shards): when an insert would exceed a shard's share, roughly
-/// half that shard's entries are evicted in one coarse pass. Eviction
-/// only ever costs re-solves — results are unaffected.
-#[derive(Debug)]
-pub struct SolveCache {
-    shards: [Mutex<HashMap<SolveKey, Arc<Outcome>>>; CACHE_SHARDS],
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    contended: AtomicU64,
-    capacity: usize,
-}
-
-impl Default for SolveCache {
-    fn default() -> Self {
-        SolveCache::with_capacity(DEFAULT_CACHE_CAPACITY)
-    }
-}
-
-impl SolveCache {
-    /// An empty cache with the default capacity bound.
-    #[must_use]
-    pub fn new() -> Self {
-        SolveCache::default()
-    }
-
-    /// An empty cache holding at most `capacity` entries (minimum 1 per
-    /// shard).
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        SolveCache {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            contended: AtomicU64::new(0),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// The maximum number of entries kept before coarse eviction.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// One shard's share of the capacity bound.
-    fn shard_capacity(&self) -> usize {
-        (self.capacity / CACHE_SHARDS).max(1)
-    }
-
-    /// The shard a key lives in: a splitmix chain over every fingerprint
-    /// component, so near-identical keys (same block, different mode)
-    /// still spread across locks.
-    fn shard_index(key: &SolveKey) -> usize {
-        let mode_tag = match key.mode {
-            GuardbandMode::StaticGuardband => 1u64,
-            GuardbandMode::Overclock => 2,
-            GuardbandMode::Undervolt => 3,
-        };
-        let mut h = splitmix(key.config_fingerprint);
-        h = splitmix(h ^ key.assignment_fingerprint);
-        h = splitmix(h ^ key.fault_fingerprint);
-        h = splitmix(h ^ (key.measure_ticks as u64) ^ ((key.warmup_ticks as u64) << 24) ^ mode_tag);
-        #[allow(clippy::cast_possible_truncation)]
-        {
-            (h % CACHE_SHARDS as u64) as usize
-        }
-    }
-
-    /// Locks one shard, counting the acquisition as contended when the
-    /// lock was already held by another thread.
-    fn lock_shard(&self, idx: usize) -> std::sync::MutexGuard<'_, HashMap<SolveKey, Arc<Outcome>>> {
-        match self.shards[idx].try_lock() {
-            Ok(guard) => guard,
-            Err(std::sync::TryLockError::WouldBlock) => {
-                self.contended.fetch_add(1, Ordering::Relaxed);
-                self.shards[idx].lock().expect("cache shard lock")
-            }
-            Err(std::sync::TryLockError::Poisoned(poison)) => {
-                panic!("cache shard lock poisoned: {poison}")
-            }
-        }
-    }
-
-    /// The process-wide shared cache. Figure binaries, the CLI and the
-    /// integration tests all default to this instance, so identical
-    /// solves are shared across every consumer in the process.
-    #[must_use]
-    pub fn global() -> Arc<SolveCache> {
-        static GLOBAL: OnceLock<Arc<SolveCache>> = OnceLock::new();
-        GLOBAL.get_or_init(|| Arc::new(SolveCache::new())).clone()
-    }
-
-    /// Runs `experiment.run(assignment, mode)`, answering from the cache
-    /// when an identical solve was already computed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when the underlying run fails.
-    pub fn solve(
-        &self,
-        experiment: &Experiment,
-        assignment: &Assignment,
-        mode: GuardbandMode,
-    ) -> Result<Arc<Outcome>, SimError> {
-        self.solve_fingerprinted(
-            experiment_fingerprint(experiment),
-            experiment,
-            assignment,
-            mode,
-        )
-    }
-
-    /// [`SolveCache::solve`] with the experiment's fingerprint already
-    /// computed — callers that reuse one experiment (or one execution
-    /// model) across many solves hoist the serialization out of the
-    /// loop. `experiment_fp` MUST be [`experiment_fingerprint`] of
-    /// `experiment`, or equivalent solves will not share entries.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when the underlying run fails.
-    pub fn solve_fingerprinted(
-        &self,
-        experiment_fp: u64,
-        experiment: &Experiment,
-        assignment: &Assignment,
-        mode: GuardbandMode,
-    ) -> Result<Arc<Outcome>, SimError> {
-        self.solve_with(
-            experiment_fp,
-            fingerprint(assignment),
-            mode,
-            experiment.measure_ticks(),
-            experiment.warmup_ticks(),
-            experiment.fault_fingerprint(),
-            || experiment.run(assignment, mode),
-        )
-    }
-
-    /// The core memoized solve: the caller supplies the fingerprints and
-    /// a closure that computes the outcome on a miss. This is the warm
-    /// fast path — a hit is one hash lookup, no serialization at all.
-    /// `assignment_fp` MUST be the [`fingerprint`]-style hash of the
-    /// assignment the closure runs, and `fault_fp` MUST be the
-    /// [`Experiment::fault_fingerprint`] of the experiment (0 when
-    /// healthy), or equivalent solves will not share entries — and
-    /// faulted solves would poison healthy ones.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when the miss closure fails.
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_with<F>(
-        &self,
-        experiment_fp: u64,
-        assignment_fp: u64,
-        mode: GuardbandMode,
-        measure_ticks: usize,
-        warmup_ticks: usize,
-        fault_fp: u64,
-        solve: F,
-    ) -> Result<Arc<Outcome>, SimError>
-    where
-        F: FnOnce() -> Result<Outcome, SimError>,
-    {
-        self.solve_with_status(
-            experiment_fp,
-            assignment_fp,
-            mode,
-            measure_ticks,
-            warmup_ticks,
-            fault_fp,
-            solve,
-        )
-        .map(|(outcome, _)| outcome)
-    }
-
-    /// [`SolveCache::solve_with`], also reporting whether the outcome
-    /// was computed by the closure (`true`, a miss) or served from the
-    /// cache (`false`, a hit). Durable sweeps journal only computed
-    /// points: a hit costs nothing to reproduce after a crash, so
-    /// checkpointing it would buy no durability.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when the miss closure fails.
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_with_status<F>(
-        &self,
-        experiment_fp: u64,
-        assignment_fp: u64,
-        mode: GuardbandMode,
-        measure_ticks: usize,
-        warmup_ticks: usize,
-        fault_fp: u64,
-        solve: F,
-    ) -> Result<(Arc<Outcome>, bool), SimError>
-    where
-        F: FnOnce() -> Result<Outcome, SimError>,
-    {
-        let key = SolveKey {
-            config_fingerprint: experiment_fp,
-            assignment_fingerprint: assignment_fp,
-            mode,
-            measure_ticks,
-            warmup_ticks,
-            fault_fingerprint: fault_fp,
-        };
-        let shard = Self::shard_index(&key);
-        if let Some(hit) = self.lock_shard(shard).get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            telemetry::solve_cache_hits().inc();
-            return Ok((hit.clone(), false));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        telemetry::solve_cache_misses().inc();
-        let outcome = Arc::new(solve()?);
-        let mut map = self.lock_shard(shard);
-        if map.len() >= self.shard_capacity() && !map.contains_key(&key) {
-            // Coarse eviction: drop about half the shard in one pass.
-            // Arbitrary victims are fine — the cache only buys speed,
-            // never correctness — and halving amortizes the sweep cost.
-            let drop_n = (map.len() / 2).max(1);
-            let victims: Vec<SolveKey> = map.keys().take(drop_n).cloned().collect();
-            for victim in &victims {
-                map.remove(victim);
-            }
-            self.evictions
-                .fetch_add(victims.len() as u64, Ordering::Relaxed);
-            telemetry::solve_cache_evictions().add(victims.len() as u64);
-            telemetry::solve_cache_entries().add(-(victims.len() as i64));
-        }
-        if map.insert(key, outcome.clone()).is_none() {
-            telemetry::solve_cache_entries().add(1);
-        }
-        drop(map);
-        Ok((outcome, true))
-    }
-
-    /// Probes a whole lane block — every guardband mode of one
-    /// `(experiment, assignment)` — with **one** lock acquisition per
-    /// distinct shard touched (modes of one block deliberately spread
-    /// across shards, so this is one short lock per lane), filling `out`
-    /// with `Some(outcome)` per present lane and `None` per absent one.
-    ///
-    /// Counting stays per lane, never per batch: each present lane bumps
-    /// the hit counter exactly once here, and each absent lane is expected
-    /// to go through [`SolveCache::solve_with_status`] individually, which
-    /// records its miss. A point therefore counts exactly once whichever
-    /// path answers it.
-    ///
-    /// The fingerprint arguments carry the same contracts as
-    /// [`SolveCache::solve_with`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn probe_lanes(
-        &self,
-        experiment_fp: u64,
-        assignment_fp: u64,
-        modes: &[GuardbandMode],
-        measure_ticks: usize,
-        warmup_ticks: usize,
-        fault_fp: u64,
-        out: &mut Vec<Option<Arc<Outcome>>>,
-    ) {
-        out.clear();
-        out.reserve(modes.len());
-        for &mode in modes {
-            let key = SolveKey {
-                config_fingerprint: experiment_fp,
-                assignment_fingerprint: assignment_fp,
-                mode,
-                measure_ticks,
-                warmup_ticks,
-                fault_fingerprint: fault_fp,
-            };
-            let hit = self.lock_shard(Self::shard_index(&key)).get(&key).cloned();
-            match hit {
-                Some(hit) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    telemetry::solve_cache_hits().inc();
-                    out.push(Some(hit));
-                }
-                None => out.push(None),
-            }
-        }
-    }
-
-    /// Current counters of this cache instance (what a sweep report
-    /// embeds as `stats.cache`). Aggregates across every cache in the
-    /// process are published through the [`crate::telemetry`] registry
-    /// families `ags_solve_cache_{hits,misses,evictions}_total` and
-    /// `ags_solve_cache_entries` (exported by `ags … --metrics`).
-    #[must_use]
-    pub fn counters(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|shard| shard.lock().expect("cache shard lock").len())
-                .sum(),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            contended: self.contended.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// An [`Experiment`] that routes every run through a [`SolveCache`].
-///
-/// Drop-in replacement for the copy-pasted `exp.run(...)` loops of the
-/// figure binaries: same `run` / `improvement_vs_static` surface, but
-/// repeated solves cost one lookup.
-#[derive(Debug, Clone)]
-pub struct CachedExperiment {
-    experiment: Experiment,
-    experiment_fp: u64,
-    cache: Arc<SolveCache>,
-}
-
-impl CachedExperiment {
-    /// Wraps an experiment with the process-wide global cache.
-    #[must_use]
-    pub fn new(experiment: Experiment) -> Self {
-        CachedExperiment::with_cache(experiment, SolveCache::global())
-    }
-
-    /// Wraps an experiment with an explicit cache.
-    #[must_use]
-    pub fn with_cache(experiment: Experiment, cache: Arc<SolveCache>) -> Self {
-        let experiment_fp = experiment_fingerprint(&experiment);
-        CachedExperiment {
-            experiment,
-            experiment_fp,
-            cache,
-        }
-    }
-
-    /// The wrapped experiment.
-    #[must_use]
-    pub fn experiment(&self) -> &Experiment {
-        &self.experiment
-    }
-
-    /// The cache in use.
-    #[must_use]
-    pub fn cache(&self) -> &Arc<SolveCache> {
-        &self.cache
-    }
-
-    /// Memoized [`Experiment::run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when the underlying run fails.
-    pub fn run(
-        &self,
-        assignment: &Assignment,
-        mode: GuardbandMode,
-    ) -> Result<Arc<Outcome>, SimError> {
-        self.cache
-            .solve_fingerprinted(self.experiment_fp, &self.experiment, assignment, mode)
-    }
-
-    /// Memoized [`Experiment::improvement_vs_static`]: returns
-    /// `(power_saving_percent, speedup_percent)` of `mode` over the
-    /// static baseline on the same assignment.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when either run fails.
-    pub fn improvement_vs_static(
-        &self,
-        assignment: &Assignment,
-        mode: GuardbandMode,
-    ) -> Result<(f64, f64), SimError> {
-        let baseline = self.run(assignment, GuardbandMode::StaticGuardband)?;
-        let adaptive = self.run(assignment, mode)?;
-        let power_saving =
-            (baseline.chip_power().0 - adaptive.chip_power().0) / baseline.chip_power().0 * 100.0;
-        let speedup = (baseline.exec_time.0 - adaptive.exec_time.0) / baseline.exec_time.0 * 100.0;
-        Ok((power_saving, speedup))
-    }
 }
 
 /// Throughput numbers of one sweep.
@@ -1161,10 +706,9 @@ impl SweepEngine {
             .journal
             .open_with(|| spec.manifest(), options.durable.fs.clone())?;
 
-        // The claim unit is one assignment block — every mode of it, one
-        // cache lane block — so its scratch simulation is reset (not
-        // rebuilt) between modes and the whole block is probed from the
-        // cache in one lock acquisition.
+        // The claim unit is one assignment block — every mode of it — so
+        // the worker that claims it solves the whole block in one group
+        // and answers the block's other points from its scratch.
         let solved = run_durable_indexed(
             Schedule::new(
                 self.jobs,
@@ -1173,7 +717,7 @@ impl SweepEngine {
                 telemetry::sweep_points_claimed(),
             ),
             points.len(),
-            SweepScratch::new,
+            SweepScratch::default,
             |scratch, idx| {
                 if let Some(inject) = &options.panic_injector {
                     if inject(&points[idx]) {
@@ -1230,16 +774,11 @@ impl SweepEngine {
         // found by integer division with the per-workload block size.
         let block = spec.cores.len() * spec.placements.len() * spec.modes.len();
 
-        // Every point shares the execution model; only the per-point
-        // config (seed) varies. Fingerprint the model once, not per solve.
-        let exec_fp = fingerprint(&ExecutionModel::power7plus()).rotate_left(17);
-
         // Modes are the innermost grid dimension, so every run of
         // `modes.len()` consecutive points shares one (workload, cores,
         // placement) assignment and one seed. Build the experiment, the
         // assignment and both cache fingerprints once per such block: on
-        // a warm cache each point is then a pure hash lookup, and on a
-        // cold cache the workers reuse one simulation per block.
+        // a warm cache each point is then a pure hash lookup.
         let modes_per_block = spec.modes.len();
         let mut blocks = Vec::with_capacity(points.len() / modes_per_block.max(1));
         for chunk in points.chunks(modes_per_block.max(1)) {
@@ -1250,16 +789,12 @@ impl SweepEngine {
             if let Some(plan) = &spec.faults {
                 experiment = experiment.with_faults(plan.clone());
             }
-            let experiment_fp = fingerprint(experiment.config()) ^ exec_fp;
-            let fault_fp = experiment.fault_fingerprint();
             let assignment = point.placement.assignment(profile, point.cores)?;
-            let assignment_fp = fingerprint(&assignment);
             blocks.push(BlockContext {
+                experiment_fp: experiment_fingerprint(&experiment),
                 experiment,
-                experiment_fp,
+                assignment_fp: assignment_fingerprint(&assignment),
                 assignment,
-                assignment_fp,
-                fault_fp,
             });
         }
 
@@ -1281,164 +816,44 @@ impl SweepEngine {
     /// Solves one point, reporting whether it was freshly computed
     /// (journal-worthy) or a cache hit (free to reproduce on resume).
     ///
-    /// The first point a worker sees of an assignment block probes the
-    /// block's whole cache lane block — every guardband mode — then
-    /// solves every lane the probe missed as *one wide-lane group*
-    /// ([`run_group`]): one scratch simulation per missing mode, all of
-    /// their sockets converging as lanes of a single
-    /// `SolveBatch<`[`GROUP_SOLVE_LANES`]`>`. Subsequent points of the
-    /// block are answered from the staged lanes without touching the
-    /// cache again.
-    fn solve_point(
+    /// The first point a worker sees of an assignment block solves the
+    /// whole block — one [`SolveCache::solve_group`] request per guardband
+    /// mode, the misses converging as lanes of one
+    /// `SolveBatch<`[`GROUP_SOLVE_LANES`]`>` group — and keeps its lanes
+    /// in `scratch`, which answers the block's remaining points.
+    fn solve_point<'c>(
         &self,
-        compiled: &CompiledSpec,
+        compiled: &'c CompiledSpec,
         idx: usize,
-        scratch: &mut SweepScratch,
+        scratch: &mut SweepScratch<'c>,
     ) -> Result<(PointResult, bool), SimError> {
         let modes_per_block = compiled.modes.len().max(1);
-        let block_idx = idx / modes_per_block;
-        let lane = idx % modes_per_block;
-        let ctx = &compiled.blocks[block_idx];
-        let point = &compiled.points[idx];
-
-        if scratch.prefetched_block != Some(block_idx) {
-            scratch.prefetched_block = Some(block_idx);
-            self.cache.probe_lanes(
-                ctx.experiment_fp,
-                ctx.assignment_fp,
-                &compiled.modes,
-                ctx.experiment.measure_ticks(),
-                ctx.experiment.warmup_ticks(),
-                ctx.fault_fp,
-                &mut scratch.prefetched,
-            );
-            scratch.computed.clear();
-            scratch.computed.resize(scratch.prefetched.len(), false);
-            if scratch.prefetched.iter().any(Option::is_none) {
-                self.solve_block_group(compiled, block_idx, scratch)?;
-            }
+        let block = idx / modes_per_block;
+        if scratch.block != Some(block) {
+            scratch.block = None;
+            let ctx = &compiled.blocks[block];
+            scratch.requests.clear();
+            scratch
+                .requests
+                .extend(compiled.modes.iter().map(|&mode| SolveRequest {
+                    experiment: &ctx.experiment,
+                    experiment_fp: ctx.experiment_fp,
+                    assignment: &ctx.assignment,
+                    assignment_fp: ctx.assignment_fp,
+                    mode,
+                }));
+            self.cache
+                .solve_group::<GROUP_SOLVE_LANES>(&scratch.requests, &mut scratch.lanes)?;
+            scratch.block = Some(block);
         }
-        let computed = scratch.computed.get(lane).copied().unwrap_or(false);
-        if let Some(outcome) = scratch
-            .prefetched
-            .get_mut(lane)
-            .and_then(|slot| slot.take())
-        {
-            return Ok((
-                PointResult {
-                    point: point.clone(),
-                    outcome: (*outcome).clone(),
-                },
-                computed,
-            ));
-        }
-
-        // A lane can still be empty here when an earlier attempt at this
-        // block panicked mid-group (the retry re-enters with the block
-        // already marked prefetched). Solve it solo, memoized as before.
-        let (outcome, computed) = self.cache.solve_with_status(
-            ctx.experiment_fp,
-            ctx.assignment_fp,
-            point.mode,
-            ctx.experiment.measure_ticks(),
-            ctx.experiment.warmup_ticks(),
-            ctx.fault_fp,
-            || {
-                let sim = match scratch.sims.first_mut() {
-                    Some(sim) if scratch.sims_block == Some(block_idx) => sim,
-                    _ => {
-                        let sim = ctx
-                            .experiment
-                            .build_simulation(&ctx.assignment, point.mode)?;
-                        scratch.sims.clear();
-                        scratch.sims.push(sim);
-                        scratch.sims_block = Some(block_idx);
-                        &mut scratch.sims[0]
-                    }
-                };
-                ctx.experiment.run_with(sim, point.mode)
-            },
-        )?;
+        let (outcome, computed) = &scratch.lanes[idx % modes_per_block];
         Ok((
             PointResult {
-                point: point.clone(),
-                outcome: (*outcome).clone(),
+                point: compiled.points[idx].clone(),
+                outcome: Outcome::clone(outcome),
             },
-            computed,
+            *computed,
         ))
-    }
-
-    /// Solves every lane the block probe missed, batching all of their
-    /// sockets through one wide solve group. Cold blocks — the dominant
-    /// case on a fresh campaign — thus converge `modes.len()` runs in a
-    /// single kernel pass per tick instead of one pass per mode.
-    ///
-    /// Each group member is inserted into the cache through the same
-    /// memoized path a solo solve uses, so hit/miss accounting, journal
-    /// `computed` flags and cross-worker sharing are unchanged.
-    fn solve_block_group(
-        &self,
-        compiled: &CompiledSpec,
-        block_idx: usize,
-        scratch: &mut SweepScratch,
-    ) -> Result<(), SimError> {
-        let ctx = &compiled.blocks[block_idx];
-        let missing: Vec<usize> = scratch
-            .prefetched
-            .iter()
-            .enumerate()
-            .filter_map(|(lane, slot)| slot.is_none().then_some(lane))
-            .collect();
-
-        // One simulation per missing lane: the first is built (or reused
-        // from the previous block's group when the assignment matches),
-        // the rest are clones. `reset` reproduces fresh construction
-        // bitwise, so a clone's history is irrelevant.
-        if scratch.sims_block != Some(block_idx) {
-            scratch.sims.clear();
-            scratch.sims_block = Some(block_idx);
-        }
-        if scratch.sims.is_empty() {
-            scratch.sims.push(
-                ctx.experiment
-                    .build_simulation(&ctx.assignment, compiled.modes[missing[0]])?,
-            );
-        }
-        while scratch.sims.len() < missing.len() {
-            let clone = scratch.sims[0].clone();
-            scratch.sims.push(clone);
-        }
-        for (slot, &lane) in missing.iter().enumerate() {
-            scratch.sims[slot].reset(compiled.modes[lane])?;
-        }
-
-        let mut refs: Vec<&mut Simulation> = scratch.sims[..missing.len()].iter_mut().collect();
-        let summaries = run_group::<GROUP_SOLVE_LANES>(
-            &mut refs,
-            ctx.experiment.measure_ticks(),
-            ctx.experiment.warmup_ticks(),
-        );
-
-        for (&lane, summary) in missing.iter().zip(summaries) {
-            let outcome = ctx
-                .experiment
-                .outcome_from_summary(&ctx.assignment, summary);
-            // Registers the miss and publishes the entry; a duplicate
-            // mode in the spec degrades to a hit on its second lane,
-            // exactly as the solo path would.
-            let (outcome, computed) = self.cache.solve_with_status(
-                ctx.experiment_fp,
-                ctx.assignment_fp,
-                compiled.modes[lane],
-                ctx.experiment.measure_ticks(),
-                ctx.experiment.warmup_ticks(),
-                ctx.fault_fp,
-                || Ok(outcome),
-            )?;
-            scratch.prefetched[lane] = Some(outcome);
-            scratch.computed[lane] = computed;
-        }
-        Ok(())
     }
 }
 
@@ -1453,34 +868,24 @@ struct CompiledSpec {
 }
 
 /// Lane width of the sweep workers' group solves: four two-socket
-/// servers per [`crate::solve::SolveBatch`] pass. Wide enough to converge
-/// a whole three-mode assignment block (6 lanes) in one kernel pass,
-/// measured profitable over 2-, 4- and 16-lane batches in
-/// `benches/solve.rs`.
+/// servers per [`crate::solve::SolveBatch`] pass, wide enough to converge
+/// a whole three-mode assignment block (6 lanes) in one kernel pass. A
+/// wider batch buys nothing at this size: a cold three-mode block at
+/// 60/30 windows solved in a median 948–983 µs at 8 lanes against
+/// 956–984 µs at 16 (raytrace, lu_cb and radix at 8 cores, 20
+/// alternating rounds each, release build on a 2-vCPU x86-64 host).
 pub const GROUP_SOLVE_LANES: usize = 8;
 
-/// Per-worker scratch carried across a sweep: the reusable simulations
-/// (tagged with the assignment block they were built for, one per
-/// group-solved mode) and the current block's staged cache lanes with
-/// their journal `computed` flags.
-struct SweepScratch {
-    sims: Vec<Simulation>,
-    sims_block: Option<usize>,
-    prefetched_block: Option<usize>,
-    prefetched: Vec<Option<Arc<Outcome>>>,
-    computed: Vec<bool>,
-}
-
-impl SweepScratch {
-    fn new() -> Self {
-        SweepScratch {
-            sims: Vec::new(),
-            sims_block: None,
-            prefetched_block: None,
-            prefetched: Vec::new(),
-            computed: Vec::new(),
-        }
-    }
+/// Per-worker scratch: the assignment block this worker last solved, its
+/// requests and its lanes (one `(outcome, computed)` per mode), which
+/// answer the block's remaining points. Both vectors are reused across
+/// blocks, so a warm block allocates nothing here. Rebuilt after a caught
+/// panic, so an interrupted block is simply solved again.
+#[derive(Default)]
+struct SweepScratch<'c> {
+    block: Option<usize>,
+    requests: Vec<SolveRequest<'c>>,
+    lanes: Vec<(Arc<Outcome>, bool)>,
 }
 
 /// One (workload, cores, placement) grid block's precomputed solve
@@ -1492,7 +897,6 @@ struct BlockContext {
     experiment_fp: u64,
     assignment: Assignment,
     assignment_fp: u64,
-    fault_fp: u64,
 }
 
 /// Runs `f(0..n)` on `jobs` executor workers ([`crate::exec`]) and returns
@@ -1525,27 +929,11 @@ where
         .collect()
 }
 
-/// The solve-cache fingerprint of an experiment: its full server config
-/// (rails, curves, policy, seed) mixed with its execution model.
-#[must_use]
-pub fn experiment_fingerprint(experiment: &Experiment) -> u64 {
-    fingerprint(experiment.config()) ^ fingerprint(experiment.exec_model()).rotate_left(17)
-}
-
-fn fingerprint<T: Serialize + ?Sized>(value: &T) -> u64 {
-    fnv64(serde::json::to_string(value).as_bytes())
-}
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CachedExperiment;
+    use crate::experiment::MAX_RUN_WINDOWS;
 
     fn tiny_spec() -> SweepSpec {
         SweepSpec::new(vec!["raytrace".into(), "radix".into()], vec![1, 4])
@@ -1603,6 +991,32 @@ mod tests {
             too_wide.validate(&catalog),
             Err(SimError::InvalidAssignment { .. })
         ));
+    }
+
+    #[test]
+    fn validate_bounds_grid_points_and_run_windows() {
+        let catalog = Catalog::power7plus();
+        // 1024 workloads x 1024 core counts = exactly the point bound.
+        let mut at_bound = SweepSpec::new(vec!["radix".into(); 1 << 10], vec![1; 1 << 10])
+            .with_modes(vec![GuardbandMode::Undervolt]);
+        assert_eq!(at_bound.len(), MAX_SWEEP_POINTS);
+        assert!(at_bound.validate(&catalog).is_ok());
+        at_bound.cores.push(1);
+        assert!(matches!(
+            at_bound.validate(&catalog),
+            Err(SimError::Spec { .. })
+        ));
+
+        let mut ticks = tiny_spec();
+        ticks.measure_ticks = MAX_RUN_WINDOWS - ticks.warmup_ticks;
+        assert!(ticks.validate(&catalog).is_ok());
+        ticks.measure_ticks += 1;
+        assert!(matches!(
+            ticks.validate(&catalog),
+            Err(SimError::Spec { .. })
+        ));
+        ticks.measure_ticks = 0;
+        assert!(ticks.validate(&catalog).is_err());
     }
 
     #[test]
@@ -1664,41 +1078,6 @@ mod tests {
         // And the faulted entries answer repeat faulted sweeps.
         engine.run(&faulted_spec).unwrap();
         assert_eq!(cache.counters().misses, after.misses);
-    }
-
-    #[test]
-    fn probe_lanes_counts_hits_per_present_lane() {
-        // A block probe is one lock acquisition but N lane lookups: the
-        // hit counter must advance once per *present* lane, and absent
-        // lanes must come back `None` without touching any counter
-        // (their miss is charged by the solve that follows).
-        let cache = SolveCache::new();
-        let exp = Experiment::power7plus(3).with_ticks(3, 1);
-        let w = Catalog::power7plus().get("radix").unwrap().clone();
-        let a = Assignment::single_socket(&w, 2).unwrap();
-        let (exp_fp, a_fp) = (fingerprint(exp.config()), fingerprint(&a));
-        let modes = GuardbandMode::all();
-
-        // Populate exactly one of the three mode lanes.
-        cache
-            .solve_with(exp_fp, a_fp, modes[1], 3, 1, 0, || exp.run(&a, modes[1]))
-            .unwrap();
-        let seeded = cache.counters();
-        assert_eq!((seeded.hits, seeded.misses), (0, 1));
-
-        let mut lanes = Vec::new();
-        cache.probe_lanes(exp_fp, a_fp, &modes, 3, 1, 0, &mut lanes);
-        assert_eq!(lanes.len(), 3);
-        assert!(lanes[0].is_none() && lanes[2].is_none());
-        assert!(lanes[1].is_some(), "the seeded lane must be prefetched");
-        let probed = cache.counters();
-        assert_eq!(probed.hits, 1, "one present lane = one hit");
-        assert_eq!(probed.misses, 1, "absent lanes charge nothing here");
-
-        // A different fault fingerprint vacates every lane.
-        cache.probe_lanes(exp_fp, a_fp, &modes, 3, 1, 0xdead, &mut lanes);
-        assert!(lanes.iter().all(Option::is_none));
-        assert_eq!(cache.counters().hits, 1);
     }
 
     #[test]
@@ -1769,9 +1148,9 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_matches_direct_runs() {
-        // The engine's reused-and-reset scratch simulations must produce
-        // bitwise the same outcomes as a fresh Experiment::run per point.
+    fn block_solves_match_direct_runs() {
+        // The engine's grouped block solves must produce bitwise the same
+        // outcomes as a fresh Experiment::run per point.
         let spec = tiny_spec();
         let engine = SweepEngine::with_cache(1, Arc::new(SolveCache::new()));
         let report = engine.run(&spec).unwrap();
@@ -1789,6 +1168,36 @@ mod tests {
                 .unwrap();
             assert_eq!(r.outcome, direct, "point {}", r.point.index);
         }
+    }
+
+    #[test]
+    fn cached_experiment_hits_the_entries_a_sweep_published() {
+        // The sweep hoists its fingerprints per block; a CachedExperiment
+        // computes them per run. Both must land on the same keys, so a
+        // point the sweep solved is a hit with the identical outcome.
+        let spec = tiny_spec();
+        let cache = Arc::new(SolveCache::new());
+        let report = SweepEngine::with_cache(2, cache.clone())
+            .run(&spec)
+            .unwrap();
+        let swept = cache.counters();
+        let r = &report.results[3];
+        let cached = CachedExperiment::with_cache(
+            Experiment::power7plus(spec.point_seed(&r.point))
+                .with_ticks(spec.measure_ticks, spec.warmup_ticks),
+            cache.clone(),
+        );
+        let catalog = Catalog::power7plus();
+        let profile = catalog.require(&r.point.workload).unwrap();
+        let assignment = r
+            .point
+            .placement
+            .assignment(profile, r.point.cores)
+            .unwrap();
+        let outcome = cached.run(&assignment, r.point.mode).unwrap();
+        assert_eq!(*outcome, r.outcome);
+        let after = cache.counters();
+        assert_eq!((after.hits, after.misses), (swept.hits + 1, swept.misses));
     }
 
     #[test]
@@ -1857,108 +1266,10 @@ mod tests {
     }
 
     #[test]
-    fn cached_experiment_matches_plain_runs() {
-        let exp = Experiment::power7plus(42).with_ticks(4, 2);
-        let cached = CachedExperiment::with_cache(exp.clone(), Arc::new(SolveCache::new()));
-        let w = Catalog::power7plus().get("radix").unwrap().clone();
-        let a = Assignment::single_socket(&w, 2).unwrap();
-        let plain = exp.run(&a, GuardbandMode::Undervolt).unwrap();
-        let memo = cached.run(&a, GuardbandMode::Undervolt).unwrap();
-        assert_eq!(*memo, plain);
-        let again = cached.run(&a, GuardbandMode::Undervolt).unwrap();
-        assert_eq!(cached.cache().counters().hits, 1);
-        assert_eq!(*again, plain);
-    }
-
-    #[test]
     fn placement_labels_round_trip() {
         for p in Placement::all() {
             assert_eq!(Placement::parse(p.label()), Some(p));
         }
         assert_eq!(Placement::parse("turbo"), None);
-    }
-
-    #[test]
-    fn cache_stats_without_a_contended_key_still_parse() {
-        // Reports serialized before the cache was sharded have no
-        // "contended" key; they must read back as uncontended.
-        let stats = CacheStats {
-            hits: 3,
-            misses: 2,
-            entries: 1,
-            evictions: 4,
-            contended: 7,
-        };
-        let json = serde::json::to_string(&stats);
-        let back: CacheStats = serde::json::from_str(&json).unwrap();
-        assert_eq!(back, stats);
-
-        let legacy = json.replace(",\"contended\":7", "");
-        assert_ne!(legacy, json, "fixture must actually drop the key");
-        let back: CacheStats = serde::json::from_str(&legacy).unwrap();
-        assert_eq!((back.hits, back.evictions, back.contended), (3, 4, 0));
-    }
-
-    #[test]
-    fn shard_capacity_bounds_entries_and_counts_evictions() {
-        // 32 entries over 16 shards = 2 per shard: inserting 200
-        // distinct keys must keep the table bounded, with the overflow
-        // visible in the eviction counter — entries + evictions always
-        // accounts for every insert.
-        let cache = SolveCache::with_capacity(32);
-        let exp = Experiment::power7plus(11).with_ticks(2, 1);
-        let w = Catalog::power7plus().get("radix").unwrap().clone();
-        let a = Assignment::single_socket(&w, 1).unwrap();
-        let seed = exp.run(&a, GuardbandMode::Undervolt).unwrap();
-        for key in 0..200u64 {
-            cache
-                .solve_with(key, key, GuardbandMode::Undervolt, 2, 1, 0, || {
-                    Ok(seed.clone())
-                })
-                .unwrap();
-        }
-        let stats = cache.counters();
-        assert!(
-            stats.entries <= 32,
-            "entries {} exceed capacity",
-            stats.entries
-        );
-        assert!(stats.evictions > 0, "200 inserts into 32 slots must evict");
-        assert_eq!(stats.entries as u64 + stats.evictions, 200);
-        assert_eq!(stats.misses, 200);
-    }
-
-    #[test]
-    fn sharded_cache_accounting_is_exact_under_concurrent_probes() {
-        // Four threads hammer overlapping blocks: every solve_with call
-        // counts exactly one hit or one miss whatever the interleaving,
-        // so the totals must come out exact — lock waits surface only in
-        // the `contended` counter, never in results or accounting.
-        let cache = Arc::new(SolveCache::new());
-        let exp = Experiment::power7plus(13).with_ticks(2, 1);
-        let w = Catalog::power7plus().get("radix").unwrap().clone();
-        let a = Assignment::single_socket(&w, 1).unwrap();
-        let seed = exp.run(&a, GuardbandMode::Undervolt).unwrap();
-        const THREADS: u64 = 4;
-        const CALLS: u64 = 400;
-        std::thread::scope(|scope| {
-            for _ in 0..THREADS {
-                scope.spawn(|| {
-                    for i in 0..CALLS {
-                        let key = i % 32;
-                        cache
-                            .solve_with(key, key, GuardbandMode::Undervolt, 2, 1, 0, || {
-                                Ok(seed.clone())
-                            })
-                            .unwrap();
-                    }
-                });
-            }
-        });
-        let stats = cache.counters();
-        assert_eq!(stats.hits + stats.misses, THREADS * CALLS);
-        assert_eq!(stats.entries, 32);
-        // 32 distinct keys, each missed by at least its first solver.
-        assert!((32..=32 * THREADS).contains(&stats.misses));
     }
 }

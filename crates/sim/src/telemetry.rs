@@ -112,7 +112,7 @@ histogram_accessor!(
 );
 
 counter_accessor!(
-    /// Memoized solves answered from the [`crate::sweep::SolveCache`].
+    /// Memoized solves answered from the [`crate::cache::SolveCache`].
     solve_cache_hits,
     "ags_solve_cache_hits_total",
     "Steady-state solves answered from the memoization cache"

@@ -96,10 +96,11 @@ fn droop_storm_shrinks_but_never_inverts_the_guardband() {
 
 #[test]
 fn faulted_lanes_never_reuse_healthy_cache_entries() {
-    // The sweep engine prefetches whole cache-lane blocks (one lane per
-    // guardband mode) in a single probe. The fault fingerprint is part
-    // of every lane key, so a faulted sweep over the same grid must not
-    // be answered from healthy entries — per lane, not per batch.
+    // The sweep engine solves each assignment block (one request per
+    // guardband mode) in a single `solve_group` call. The fault
+    // fingerprint is part of every request's key, so a faulted sweep
+    // over the same grid must not be answered from healthy entries — per
+    // lane, not per batch.
     use ags::faults::FaultPlan;
     use ags::sim::{SolveCache, SweepEngine, SweepSpec};
     use std::sync::Arc;

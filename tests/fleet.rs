@@ -60,6 +60,25 @@ fn warm_cache_reproduces_cold_results_exactly() {
 }
 
 #[test]
+fn every_active_server_epoch_is_one_cache_hit_or_miss() {
+    // One solve request per active server-epoch: a cold run splits them
+    // into hits and misses, every miss inserts one entry, and a warm
+    // rerun answers every one of them from the cache.
+    let spec = sharded_spec(12, 6, TrafficModel::FlashCrowd, 3);
+    let e = engine(2);
+    let cold = e.run(&spec).expect("cold fleet");
+    let active = cold.stats.active_server_epochs as u64;
+    let c = cold.stats.cache;
+    assert!(c.hits > 0 && c.misses > 0, "{c:?}");
+    assert_eq!(c.hits + c.misses, active, "{c:?}");
+    assert_eq!(c.misses, c.entries as u64, "{c:?}");
+
+    let w = e.run(&spec).expect("warm fleet").stats.cache;
+    assert_eq!(w.hits, c.hits + active, "{w:?}");
+    assert_eq!(w.misses, c.misses, "{w:?}");
+}
+
+#[test]
 fn flash_crowd_golden_trend() {
     // Seeded golden-trend check: the campaign's power trajectory must
     // show the traffic shape — quiet baseline, a spike an order bigger,
