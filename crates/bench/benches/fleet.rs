@@ -16,8 +16,8 @@ use std::sync::Arc;
 use p7_fleet::{FleetEngine, FleetSpec, TrafficModel};
 use p7_sim::SolveCache;
 
-/// A campaign big enough to exercise stealing-grade shard counts but
-/// small enough for a bench iteration: 32 servers, one flash crowd.
+/// A campaign big enough to span several shards but small enough for a
+/// bench iteration: 32 servers, one flash crowd.
 fn bench_spec() -> FleetSpec {
     let mut spec = FleetSpec::smoke()
         .with_scale(32, 6)

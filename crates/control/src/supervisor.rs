@@ -185,12 +185,6 @@ impl SafetySupervisor {
         }
     }
 
-    /// Restores the just-constructed state (used by simulation reset),
-    /// keeping the socket label.
-    pub fn reset(&mut self) {
-        *self = SafetySupervisor::with_socket(self.config, self.socket);
-    }
-
     /// The configured thresholds.
     #[must_use]
     pub fn config(&self) -> &SupervisorConfig {
@@ -496,8 +490,8 @@ mod tests {
             sup.observe(&stale),
             Some(SupervisorEvent::Degraded(HealthIssue::StaleTelemetry))
         );
-        // A fresh window resets the counter after re-arm.
-        sup.reset();
+        // On a fresh supervisor, one fresh window resets the counter.
+        let mut sup = SafetySupervisor::new(cfg);
         assert_eq!(sup.observe(&stale), None);
         assert_eq!(sup.observe(&healthy()), None);
         for _ in 0..cfg.stale_limit {

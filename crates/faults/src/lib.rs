@@ -9,11 +9,10 @@
 //!
 //! Every stochastic effect (sensor noise) is a pure function of
 //! `(plan seed, event index, window index)`, so a faulted run is bitwise
-//! reproducible from the plan alone: resetting a simulation and replaying
-//! it, or solving the same grid point on a different worker, yields the
-//! same trajectory. The per-window view a simulation consumes is
-//! [`SocketWindow`], assembled on the stack by
-//! [`FaultPlan::socket_window`].
+//! reproducible from the plan alone: rerunning a simulation, or solving
+//! the same grid point on a different worker, yields the same trajectory.
+//! The per-window view a simulation consumes is [`SocketWindow`],
+//! assembled on the stack by [`FaultPlan::socket_window`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -456,7 +455,7 @@ impl FaultPlan {
                 FaultKind::SensorBias(f) => w.sensor_error_amps += f.amps,
                 FaultKind::SensorNoise(f) => {
                     // Per-window draw keyed on (seed, event, window): the
-                    // burst replays identically after a reset.
+                    // burst replays identically on every rerun.
                     let stream = seed_for_indexed(self.seed, "sensor-noise", idx);
                     let mut rng = SplitMix64::new(seed_for_indexed(stream, "window", tick));
                     w.sensor_error_amps += f.amps_std * rng.normal();

@@ -9,11 +9,11 @@
 //! 16-lane [`SolveBatch`](p7_sim::SolveBatch) exactly — one wide-lane
 //! kernel pass per epoch. Each shard's result is a pure function of
 //! `(spec, shard index)`: demand is open-loop, per-server seeds and
-//! tenants derive from the spec, and the memoized solve cache only ever
-//! short-circuits work whose value is already determined. Workers
-//! therefore share **no mutable state on the tick path**, and the merged
-//! report is byte-identical at any `--jobs` and across any
-//! interrupt/resume split.
+//! tenants derive from the spec, and the memoized solve cache and
+//! placement memo only ever short-circuit work whose value is already
+//! determined. Workers therefore share **no mutable state on the tick
+//! path**, and the merged report is byte-identical at any `--jobs` and
+//! across any interrupt/resume split.
 //!
 //! # Scheduling
 //!
@@ -38,7 +38,7 @@ use p7_sim::{
 use p7_types::{CORES_PER_SOCKET, NUM_SOCKETS};
 use p7_workloads::{Catalog, ExecutionModel, WorkloadProfile};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Solver lanes per fleet group solve: the widest batch the SoA kernel
@@ -286,18 +286,45 @@ pub struct FleetRunOptions {
     pub panic_injector: Option<ShardPanicInjector>,
 }
 
-/// One server's compiled identity: tenant workload, experiment runner and
-/// cache fingerprint, all pure functions of `(spec.seed, server index)`.
+/// One server's compiled identity: tenant catalog slot, experiment runner
+/// and cache fingerprint, all pure functions of `(spec.seed, server index)`.
 struct Tenant {
-    workload: WorkloadProfile,
+    slot: usize,
     experiment: Experiment,
     experiment_fp: u64,
 }
 
-/// The compiled campaign: per-server tenants plus the spec.
+/// What [`place`] returns for one (catalog slot, threads) pair, with its
+/// [`assignment_fingerprint`].
+type Placed = (Assignment, u64);
+
+/// The compiled campaign: per-server tenants, the spec, and the placement
+/// memo every worker shares.
 struct FleetContext {
     spec: FleetSpec,
     tenants: Vec<Tenant>,
+    /// The catalog's profiles, indexed by tenant slot.
+    profiles: Vec<&'static WorkloadProfile>,
+    /// One cell per (slot, threads ∈ 1..=16), at
+    /// `slot * CORES_PER_SERVER + threads - 1`, filled on first use:
+    /// placement is a pure function of the pair, so a campaign builds and
+    /// fingerprints each assignment once instead of once per server-epoch.
+    placements: Vec<OnceLock<Placed>>,
+}
+
+impl FleetContext {
+    /// The memoized `place(profiles[slot], threads)` and its fingerprint.
+    fn placement(&self, slot: usize, threads: usize) -> Result<&Placed, SimError> {
+        let cell = &self.placements[slot * CORES_PER_SERVER + threads - 1];
+        if let Some(placed) = cell.get() {
+            return Ok(placed);
+        }
+        let assignment = place(self.profiles[slot], threads)?;
+        let fingerprint = assignment_fingerprint(&assignment);
+        // A racing worker may have filled the cell meanwhile; its value is
+        // the same pure function of the pair.
+        Ok(cell.get_or_init(|| (assignment, fingerprint)))
+    }
 }
 
 /// The fleet campaign runner: shards servers across `jobs` workers and
@@ -419,28 +446,32 @@ impl FleetEngine {
     fn compile(&self, spec: &FleetSpec) -> Result<FleetContext, SimError> {
         let catalog = Catalog::shared();
         spec.validate(catalog)?;
-        let profiles: Vec<&WorkloadProfile> = catalog.iter().collect();
+        let profiles: Vec<&'static WorkloadProfile> = catalog.iter().collect();
         let exec_model = ExecutionModel::power7plus();
         let tenants = (0..spec.servers)
             .map(|server| {
                 let silicon = splitmix(spec.seed ^ server as u64);
                 #[allow(clippy::cast_possible_truncation)]
                 let slot = (splitmix(silicon) % profiles.len() as u64) as usize;
-                let workload = profiles[slot].clone();
                 let experiment =
                     Experiment::with_config(ServerConfig::power7plus(silicon), exec_model.clone())
                         .with_ticks(spec.measure_ticks, spec.warmup_ticks);
                 let experiment_fp = experiment_fingerprint(&experiment);
                 Tenant {
-                    workload,
+                    slot,
                     experiment,
                     experiment_fp,
                 }
             })
             .collect();
+        let placements = (0..profiles.len() * CORES_PER_SERVER)
+            .map(|_| OnceLock::new())
+            .collect();
         Ok(FleetContext {
             spec: spec.clone(),
             tenants,
+            profiles,
+            placements,
         })
     }
 
@@ -461,14 +492,14 @@ impl FleetEngine {
             .clone()
             .map(|server| ServerResult {
                 server,
-                workload: ctx.tenants[server].workload.name().to_owned(),
+                workload: ctx.profiles[ctx.tenants[server].slot].name().to_owned(),
                 epochs: Vec::with_capacity(spec.epochs),
             })
             .collect();
         let mut journal_worthy = false;
 
-        // (server, threads, assignment) of the epoch's active servers.
-        let mut active: Vec<(usize, usize, Assignment)> = Vec::new();
+        // (server, threads, placement) of the epoch's active servers.
+        let mut active: Vec<(usize, usize, &Placed)> = Vec::new();
         let mut solved: Vec<(Arc<Outcome>, bool)> = Vec::new();
         for epoch in 0..spec.epochs {
             active.clear();
@@ -482,19 +513,16 @@ impl FleetEngine {
                     continue;
                 }
                 telemetry::server_epochs().inc();
-                active.push((
-                    server,
-                    threads,
-                    place(&ctx.tenants[server].workload, threads)?,
-                ));
+                let placed = ctx.placement(ctx.tenants[server].slot, threads)?;
+                active.push((server, threads, placed));
             }
             let requests: Vec<SolveRequest<'_>> = active
                 .iter()
-                .map(|(server, _, assignment)| SolveRequest {
-                    experiment: &ctx.tenants[*server].experiment,
-                    experiment_fp: ctx.tenants[*server].experiment_fp,
+                .map(|&(server, _, (assignment, assignment_fp))| SolveRequest {
+                    experiment: &ctx.tenants[server].experiment,
+                    experiment_fp: ctx.tenants[server].experiment_fp,
                     assignment,
-                    assignment_fp: assignment_fingerprint(assignment),
+                    assignment_fp: *assignment_fp,
                     mode: FLEET_MODE,
                 })
                 .collect();
@@ -633,6 +661,53 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn memoized_placements_match_direct_runs() {
+        // Every active server-epoch must equal a direct run of `place`
+        // for that server's tenant and thread count. The spec must make
+        // both one-sided keys wrong: some tenant slot runs at several
+        // thread counts, and some thread count on several slots.
+        let spec = tiny_spec();
+        let engine = fresh_engine(2);
+        let ctx = engine.compile(&spec).unwrap();
+        let report = engine.run(&spec).unwrap();
+        let mut pairs = std::collections::BTreeSet::new();
+        for server in &report.servers {
+            let tenant = &ctx.tenants[server.server];
+            let workload = ctx.profiles[tenant.slot];
+            assert_eq!(server.workload, workload.name());
+            for (epoch, outcome) in server.epochs.iter().enumerate() {
+                assert_eq!(
+                    outcome.threads,
+                    offered_threads(&spec, server.server, epoch)
+                );
+                if !outcome.is_active() {
+                    continue;
+                }
+                pairs.insert((tenant.slot, outcome.threads));
+                let direct = tenant
+                    .experiment
+                    .run(&place(workload, outcome.threads).unwrap(), FLEET_MODE)
+                    .unwrap();
+                assert_eq!(
+                    *outcome,
+                    EpochOutcome::from_outcome(&direct, outcome.threads),
+                    "server {} epoch {epoch}",
+                    server.server
+                );
+            }
+        }
+        let repeats = |key: fn(&(usize, usize)) -> usize| {
+            let mut seen = std::collections::BTreeMap::new();
+            for pair in &pairs {
+                *seen.entry(key(pair)).or_insert(0) += 1;
+            }
+            seen.values().any(|&n| n > 1)
+        };
+        assert!(repeats(|p| p.0), "a slot at several thread counts");
+        assert!(repeats(|p| p.1), "a thread count on several slots");
     }
 
     #[test]

@@ -44,7 +44,8 @@ pub struct FleetSpec {
     pub measure_ticks: usize,
     /// Warm-up windows discarded per active server-epoch.
     pub warmup_ticks: usize,
-    /// Servers per shard — the unit of worker scheduling and stealing.
+    /// Servers per shard — the unit of worker claiming, panic quarantine
+    /// and journal checkpoints.
     pub shard_servers: usize,
 }
 

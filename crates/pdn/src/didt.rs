@@ -18,7 +18,7 @@
 //! in the window (what a sticky-mode CPM latches).
 
 use crate::error::PdnError;
-use p7_types::{Seconds, SplitMix64, Volts};
+use p7_types::{LastEval, Seconds, SplitMix64, Volts, CORES_PER_SOCKET};
 use serde::{Deserialize, Serialize};
 
 /// Parameters of the di/dt noise model.
@@ -132,15 +132,24 @@ pub struct DidtSample {
 pub struct DidtModel {
     config: DidtConfig,
     rng: SplitMix64,
+    /// `(n as f64).powf(-smoothing_exponent)` for `n` in `1..=8` active
+    /// cores, at index `n − 1`: the exponent is fixed at construction.
+    smoothing: [f64; CORES_PER_SOCKET],
+    /// The Poisson limit `exp(−mean)`, keyed by the mean: a simulation's
+    /// windows all have one length, so one mean.
+    poisson_limit: LastEval,
 }
 
 impl DidtModel {
     /// Creates a model with its own deterministic noise stream.
     #[must_use]
     pub fn new(config: DidtConfig, seed: u64) -> Self {
+        let smoothing = std::array::from_fn(|i| ((i + 1) as f64).powf(-config.smoothing_exponent));
         DidtModel {
             config,
             rng: SplitMix64::new(p7_types::seed_for(seed, "didt")),
+            smoothing,
+            poisson_limit: LastEval::default(),
         }
     }
 
@@ -150,13 +159,6 @@ impl DidtModel {
         &self.config
     }
 
-    /// Rewinds the noise stream to its construction state for `seed`,
-    /// so a reused model replays exactly the sequence a fresh
-    /// `DidtModel::new(config, seed)` would produce.
-    pub fn reset(&mut self, seed: u64) {
-        self.rng = SplitMix64::new(p7_types::seed_for(seed, "didt"));
-    }
-
     /// Expected typical-case ripple for `active` cores at a given workload
     /// current variability (deterministic mean, no sampling noise).
     #[must_use]
@@ -164,7 +166,10 @@ impl DidtModel {
         if active == 0 {
             return Volts::ZERO;
         }
-        let smoothing = (active as f64).powf(-self.config.smoothing_exponent);
+        let smoothing = match self.smoothing.get(active - 1) {
+            Some(&smoothing) => smoothing,
+            None => (active as f64).powf(-self.config.smoothing_exponent),
+        };
         self.config.typical_base * variability.max(0.0) * smoothing
     }
 
@@ -224,7 +229,7 @@ impl DidtModel {
         if mean <= 0.0 {
             return 0;
         }
-        let limit = (-mean).exp();
+        let limit = self.poisson_limit.get_or_eval(mean, |mean| (-mean).exp());
         let mut product = self.rng.next_f64();
         let mut count = 0u32;
         while product > limit && count < 1000 {
@@ -337,15 +342,69 @@ mod tests {
         }
     }
 
+    /// `sample_window` as it was written before its constants were
+    /// hoisted, drawing from `rng`: the reference the model must
+    /// reproduce bit for bit.
+    fn unhoisted_sample(
+        config: &DidtConfig,
+        rng: &mut SplitMix64,
+        active: usize,
+        variability: f64,
+        window: Seconds,
+    ) -> DidtSample {
+        let smoothing = (active as f64).powf(-config.smoothing_exponent);
+        let typical_mean = config.typical_base * variability * smoothing;
+        let typical = Volts((typical_mean.0 * (1.0 + 0.05 * rng.normal())).max(0.0));
+        let mean = config.droop_rate_hz * window.0;
+        let limit = (-mean).exp();
+        let mut product = rng.next_f64();
+        let mut events = 0u32;
+        while product > limit && events < 1000 {
+            product *= rng.next_f64();
+            events += 1;
+        }
+        let alignment = 1.0 + config.alignment_factor * (active as f64 - 1.0) / 7.0;
+        let magnitude_mean = config.worst_base * variability * alignment;
+        let mut worst = typical * 1.4;
+        for _ in 0..events {
+            let m = magnitude_mean.0 * (1.0 + config.droop_jitter * rng.normal()).max(0.2);
+            worst = worst.max(Volts(m));
+        }
+        DidtSample {
+            typical,
+            worst: worst.max(typical),
+            droop_events: events,
+        }
+    }
+
     #[test]
-    fn reset_replays_the_stream() {
-        let mut m = DidtModel::new(DidtConfig::power7plus(), 31);
-        let first: Vec<DidtSample> = (0..10)
-            .map(|_| m.sample_window(4, 1.0, Seconds::from_millis(32.0)))
-            .collect();
-        m.reset(31);
-        for s in first {
-            assert_eq!(s, m.sample_window(4, 1.0, Seconds::from_millis(32.0)));
+    fn hoisted_smoothing_equals_powf_for_every_core_count() {
+        let m = model();
+        for active in 1..=12usize {
+            let smoothing = (active as f64).powf(-m.config.smoothing_exponent);
+            let expected = m.config.typical_base * 0.9 * smoothing;
+            assert_eq!(
+                m.typical_ripple(active, 0.9).0.to_bits(),
+                expected.0.to_bits(),
+                "{active} cores"
+            );
+        }
+    }
+
+    #[test]
+    fn sample_window_is_bit_identical_to_the_unhoisted_draws_at_any_window() {
+        // The Poisson limit is memoized per mean, which the window
+        // length sets; changing the window between draws must re-key it.
+        let config = DidtConfig::power7plus();
+        let mut m = DidtModel::new(config.clone(), 17);
+        let mut rng = SplitMix64::new(p7_types::seed_for(17, "didt"));
+        let windows = [0.032, 0.032, 0.1, 0.032, 0.001, 0.5, 0.5, 0.032];
+        for (i, window) in windows.into_iter().enumerate() {
+            for active in 1..=8 {
+                let got = m.sample_window(active, 0.8, Seconds(window));
+                let expected = unhoisted_sample(&config, &mut rng, active, 0.8, Seconds(window));
+                assert_eq!(got, expected, "draw {i}, window {window}, {active} cores");
+            }
         }
     }
 

@@ -5,8 +5,7 @@
 //! (Sec. 4.1). We still model it because leakage — and therefore the
 //! passive-drop feedback loop — depends weakly on temperature.
 
-use p7_types::{Celsius, Seconds, Watts};
-use serde::{Deserialize, Serialize};
+use p7_types::{Celsius, LastEval, Seconds, Watts};
 
 /// A lumped thermal node: `dT/dt = (T_steady(P) − T) / τ`.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// let settled = t.temperature();
 /// assert!(settled > Celsius(30.0) && settled < Celsius(60.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ThermalModel {
     ambient: Celsius,
     /// Thermal resistance die→ambient, °C per watt.
@@ -31,6 +30,9 @@ pub struct ThermalModel {
     /// Time constant of the die+heatsink, seconds.
     time_constant: Seconds,
     temperature: Celsius,
+    /// The step's `1 − exp(−dt/τ)`, keyed by `dt`: a simulation steps by
+    /// one fixed window, so this is one `exp` per model, not per window.
+    alpha: LastEval,
 }
 
 impl ThermalModel {
@@ -49,6 +51,7 @@ impl ThermalModel {
             resistance,
             time_constant,
             temperature: ambient,
+            alpha: LastEval::default(),
         }
     }
 
@@ -67,13 +70,9 @@ impl ThermalModel {
     /// Advances the node by `dt` under dissipated power `power`.
     pub fn step(&mut self, power: Watts, dt: Seconds) {
         let target = self.steady_state(power);
-        let alpha = 1.0 - (-dt.0 / self.time_constant.0).exp();
+        let tau = self.time_constant.0;
+        let alpha = self.alpha.get_or_eval(dt.0, |dt| 1.0 - (-dt / tau).exp());
         self.temperature = Celsius(self.temperature.0 + alpha * (target.0 - self.temperature.0));
-    }
-
-    /// Resets the die to ambient (e.g. between experiments).
-    pub fn reset(&mut self) {
-        self.temperature = self.ambient;
     }
 }
 
@@ -120,6 +119,29 @@ mod tests {
     }
 
     #[test]
+    fn step_is_bit_identical_to_the_unhoisted_formula_at_any_dt() {
+        // The step factor is memoized per dt; every step must still equal
+        // `1 − exp(−dt/τ)` evaluated afresh, including after dt changes.
+        let mut model = ThermalModel::power7plus();
+        let mut reference = model.temperature().0;
+        for (i, dt) in [0.032, 0.032, 1.0, 0.032, 0.005, 0.005, 1.0, 0.032]
+            .into_iter()
+            .enumerate()
+        {
+            let power = Watts(60.0 + 10.0 * i as f64);
+            model.step(power, Seconds(dt));
+            let target = model.steady_state(power).0;
+            let alpha = 1.0 - (-dt / 20.0f64).exp();
+            reference += alpha * (target - reference);
+            assert_eq!(
+                model.temperature().0.to_bits(),
+                reference.to_bits(),
+                "dt {dt}"
+            );
+        }
+    }
+
+    #[test]
     fn cooling_works_too() {
         let mut t = ThermalModel::power7plus();
         for _ in 0..1000 {
@@ -131,13 +153,5 @@ mod tests {
         }
         assert!(t.temperature() < hot);
         assert!((t.temperature() - Celsius(22.0)).abs() < Celsius(0.5));
-    }
-
-    #[test]
-    fn reset_returns_to_ambient() {
-        let mut t = ThermalModel::power7plus();
-        t.step(Watts(140.0), Seconds(100.0));
-        t.reset();
-        assert_eq!(t.temperature(), Celsius(22.0));
     }
 }

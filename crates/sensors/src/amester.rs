@@ -159,14 +159,6 @@ impl Amester {
     pub fn worst_sticky(&self, id: CpmId) -> Option<CpmReading> {
         self.windows.iter().map(|w| w.sticky_of(id)).min()
     }
-
-    /// Clears the recording (e.g. between experiment phases).
-    ///
-    /// Keeps the reserved backing storage so a reset recorder can be
-    /// refilled without reallocating.
-    pub fn clear(&mut self) {
-        self.windows.clear();
-    }
 }
 
 #[cfg(test)]
@@ -216,16 +208,6 @@ mod tests {
         assert!(a.mean_sample(id).is_none());
         assert!(a.worst_sticky(id).is_none());
         assert!(a.latest().is_none());
-    }
-
-    #[test]
-    fn clear_resets_interval_enforcement() {
-        let mut a = Amester::new();
-        a.record(Seconds(10.0), readings(5), readings(5)).unwrap();
-        a.clear();
-        // After clear, an earlier timestamp is acceptable again.
-        a.record(Seconds(0.0), readings(5), readings(5)).unwrap();
-        assert_eq!(a.windows().len(), 1);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The chip-wide array of 40 CPMs with seeded process variation.
 
-use crate::cpm::{CpmReading, CriticalPathMonitor};
+use crate::cpm::{frequency_scale, CpmReading, CriticalPathMonitor};
 use p7_types::{
-    seed_for, CoreId, CpmId, MegaHertz, SplitMix64, Volts, CPMS_PER_CORE, CPMS_PER_SOCKET,
+    seed_for, CoreId, CpmId, LastEval, MegaHertz, SplitMix64, Volts, CPMS_PER_CORE, CPMS_PER_SOCKET,
 };
 use serde::{Deserialize, Serialize};
 
@@ -101,9 +101,10 @@ impl CpmBank {
     /// each core's worst sample reading.
     ///
     /// Equivalent to two [`CpmBank::read_all`] calls and one
-    /// [`CpmBank::core_min_readings`] call (bit for bit), but each
-    /// monitor's frequency-dependent sensitivity is evaluated once
-    /// instead of three times — this is the tick hot path's entry point.
+    /// [`CpmBank::core_min_readings`] call (bit for bit), but the
+    /// sensitivity's frequency factor is evaluated once per core, where
+    /// the separate passes evaluate it three times per monitor — this is
+    /// the tick hot path's entry point.
     #[must_use]
     pub fn read_window(
         &self,
@@ -116,9 +117,16 @@ impl CpmBank {
             sticky: [CpmReading::MAX; CPMS_PER_SOCKET],
             core_min: [CpmReading::MAX; 8],
         };
+        // Each core's frequency factor, keyed by the monitor's peak
+        // frequency. Every monitor `with_seed` builds shares one peak, so
+        // this is one evaluation per core; another peak gets its own.
+        let mut scales = [LastEval::default(); 8];
         for (i, m) in self.monitors.iter().enumerate() {
             let c = m.id().core().index();
-            let (sample, sticky) = m.read_pair(sample_margins[c], sticky_margins[c], core_freqs[c]);
+            let scale = scales[c].get_or_eval(m.peak_frequency().0, |peak| {
+                frequency_scale(core_freqs[c], MegaHertz(peak))
+            });
+            let (sample, sticky) = m.read_pair(sample_margins[c], sticky_margins[c], scale);
             out.sample[i] = sample;
             out.sticky[i] = sticky;
             if sample < out.core_min[c] {
@@ -241,6 +249,27 @@ mod tests {
         assert_eq!(
             fused.core_min,
             bank.core_min_readings(&sample_margins, &freqs)
+        );
+    }
+
+    #[test]
+    fn read_window_keys_the_frequency_factor_by_each_monitors_peak() {
+        // A bank read back from JSON can hold a monitor with another
+        // peak frequency; the per-core factor must not be reused for it.
+        let text = serde::json::to_string(&CpmBank::with_seed(21));
+        let peak = "\"peak_frequency\":4200.0";
+        assert!(text.contains(peak), "{text}");
+        let skewed = text.replacen(peak, "\"peak_frequency\":3900.0", 1);
+        let bank: CpmBank = serde::json::from_str(&skewed).unwrap();
+        let margins: [Volts; 8] =
+            std::array::from_fn(|i| Volts::from_millivolts(35.0 + 9.0 * i as f64));
+        let freqs: [MegaHertz; 8] = std::array::from_fn(|i| MegaHertz(3650.0 + 70.0 * i as f64));
+        let fused = bank.read_window(&margins, &margins, &freqs);
+        assert_eq!(fused.sample, bank.read_all(&margins, &freqs));
+        assert_ne!(
+            fused.sample,
+            CpmBank::with_seed(21).read_all(&margins, &freqs),
+            "the skewed monitor reads differently"
         );
     }
 

@@ -38,7 +38,8 @@ impl CpmReading {
         (value < CPM_TAPS).then_some(CpmReading(value))
     }
 
-    /// Creates a reading by clamping an arbitrary tap estimate.
+    /// Creates a reading by clamping an arbitrary tap estimate, rounding
+    /// half away from zero like [`f64::round`].
     #[must_use]
     pub fn saturating(value: f64) -> Self {
         if value.is_nan() || value <= 0.0 {
@@ -46,7 +47,12 @@ impl CpmReading {
         } else if value >= f64::from(CPM_TAPS - 1) {
             CpmReading::MAX
         } else {
-            CpmReading(value.round() as u8)
+            // `round` is a libm call on the baseline x86-64 target. On
+            // (0, 11) the fraction `value - whole` is exact (Sterbenz: for
+            // whole ≥ 1, whole ≤ value < 2·whole), so testing it against
+            // one half rounds exactly as `round` does.
+            let whole = value as u8;
+            CpmReading(whole + u8::from(value - f64::from(whole) >= 0.5))
         }
     }
 
@@ -137,8 +143,12 @@ impl CriticalPathMonitor {
     /// toward ~11 mV/tap at 3.6 GHz.
     #[must_use]
     pub fn sensitivity_at(&self, f: MegaHertz) -> Volts {
-        let ratio = (f.0 / self.peak_frequency.0).clamp(0.3, 1.3);
-        self.peak_sensitivity * ratio.powi(4)
+        self.peak_sensitivity * frequency_scale(f, self.peak_frequency)
+    }
+
+    /// The frequency this monitor's peak sensitivity applies at.
+    pub(crate) fn peak_frequency(&self) -> MegaHertz {
+        self.peak_frequency
     }
 
     /// Reads the detector for a given timing margin at frequency `f`.
@@ -155,24 +165,24 @@ impl CriticalPathMonitor {
         CpmReading::saturating(taps)
     }
 
-    /// Reads the detector at two margins sharing one frequency — the
-    /// sample-mode and sticky-mode readouts of a firmware window.
+    /// Reads the detector at two margins sharing one clock — the
+    /// sample-mode and sticky-mode readouts of a firmware window — given
+    /// the clock's [`frequency_scale`] against this monitor's peak
+    /// frequency, which a bank evaluates once per core.
     ///
-    /// One sensitivity evaluation serves both reads, so this is the tick
-    /// hot path's form; each component is bit-identical to
-    /// [`CriticalPathMonitor::read`] at the same inputs (a stuck detector
-    /// returns its stuck value for both).
-    #[must_use]
-    pub fn read_pair(
+    /// Each component is bit-identical to [`CriticalPathMonitor::read`]
+    /// at the same clock (a stuck detector returns its stuck value for
+    /// both).
+    pub(crate) fn read_pair(
         &self,
         sample_margin: Volts,
         sticky_margin: Volts,
-        f: MegaHertz,
+        scale: f64,
     ) -> (CpmReading, CpmReading) {
         if let Some(stuck) = self.stuck_at {
             return (stuck, stuck);
         }
-        let sensitivity = self.sensitivity_at(f);
+        let sensitivity = self.peak_sensitivity * scale;
         let sample = self.zero_margin_tap + (sample_margin - self.path_skew) / sensitivity;
         let sticky = self.zero_margin_tap + (sticky_margin - self.path_skew) / sensitivity;
         (
@@ -193,6 +203,12 @@ impl CriticalPathMonitor {
     pub fn set_stuck_at(&mut self, reading: Option<CpmReading>) {
         self.stuck_at = reading;
     }
+}
+
+/// The frequency factor of [`CriticalPathMonitor::sensitivity_at`]: the
+/// clock over the peak frequency, clamped to `0.3..=1.3`, to the fourth.
+pub(crate) fn frequency_scale(f: MegaHertz, peak: MegaHertz) -> f64 {
+    (f.0 / peak.0).clamp(0.3, 1.3).powi(4)
 }
 
 #[cfg(test)]
@@ -292,6 +308,29 @@ mod tests {
         assert_eq!(c.read(Volts(0.3), f).value(), 7);
         c.set_stuck_at(None);
         assert_ne!(c.read(Volts::ZERO, f).value(), 7);
+    }
+
+    #[test]
+    fn sensitivity_is_the_peak_times_the_frequency_factor() {
+        // The factor the bank evaluates once per core is exactly today's
+        // expression, across the clamp on both sides.
+        let id = CpmId::new(CoreId::new(2).unwrap(), 3).unwrap();
+        let c = CriticalPathMonitor::with_variation(id, 19.3, 1.5);
+        for fmhz in [
+            0.0, 900.0, 1260.0, 3000.0, 3600.0, 4199.9, 4200.0, 5460.0, 9000.0,
+        ] {
+            let f = MegaHertz(fmhz);
+            let ratio = (f.0 / c.peak_frequency.0).clamp(0.3, 1.3);
+            let expected = c.peak_sensitivity * ratio.powi(4);
+            assert_eq!(
+                c.sensitivity_at(f).0.to_bits(),
+                expected.0.to_bits(),
+                "{fmhz}"
+            );
+            let scale = frequency_scale(f, c.peak_frequency);
+            let (m1, m2) = (Volts::from_millivolts(61.0), Volts::from_millivolts(23.0));
+            assert_eq!(c.read_pair(m1, m2, scale), (c.read(m1, f), c.read(m2, f)));
+        }
     }
 
     #[test]

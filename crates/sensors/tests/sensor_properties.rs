@@ -88,3 +88,54 @@ proptest! {
         prop_assert!(high > low, "sensitivity must grow with clock: {low} vs {high}");
     }
 }
+
+/// `CpmReading::saturating` as it was written with `f64::round`: the
+/// reference its libm-free rounding must reproduce exactly.
+fn saturating_by_round(value: f64) -> u8 {
+    if value.is_nan() || value <= 0.0 {
+        0
+    } else if value >= 11.0 {
+        11
+    } else {
+        value.round() as u8
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    #[test]
+    fn saturating_rounds_exactly_like_round(value in -1.0f64..12.0) {
+        prop_assert_eq!(CpmReading::saturating(value).value(), saturating_by_round(value));
+    }
+}
+
+#[test]
+fn saturating_rounds_exactly_like_round_at_every_edge() {
+    let mut edges = vec![
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE,
+        f64::from_bits(1),
+        -f64::from_bits(1),
+        f64::MIN_POSITIVE / 2.0,
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        11.0,
+        11.0f64.next_up(),
+        11.0f64.next_down(),
+    ];
+    for k in 0..11 {
+        let half = f64::from(k) + 0.5;
+        edges.extend([half, half.next_up(), half.next_down()]);
+    }
+    for value in edges {
+        assert_eq!(
+            CpmReading::saturating(value).value(),
+            saturating_by_round(value),
+            "{value:e}"
+        );
+    }
+}

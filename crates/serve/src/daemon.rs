@@ -1881,6 +1881,21 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_bodies_are_refused_and_the_daemon_lives() {
+        // 20 000 open brackets: a 20 KB body that overflowed the
+        // connection thread's stack (aborting the daemon) before the
+        // parser bounded its nesting depth.
+        let dir = tmpdir("nesting");
+        let (addr, drain, handle) = start(&dir);
+        let (status, body) = http(addr, "POST", "/tasks", &"[".repeat(20_000));
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("nesting deeper than"), "{body}");
+        assert_eq!(http(addr, "GET", "/healthz", "").0, 200);
+        drain.cancel();
+        handle.join().expect("serve thread").expect("clean drain");
+    }
+
+    #[test]
     fn oversized_specs_journaled_earlier_fail_when_claimed() {
         // Tasks acknowledged before submission bounded their specs are
         // still in old journals; claiming one must fail the task with

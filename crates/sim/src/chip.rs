@@ -84,7 +84,6 @@ pub struct ChipSim {
     residual_guardband: Volts,
     transient_reserve_ohms: f64,
     target: MegaHertz,
-    chip_seed: u64,
     solve_seed: Option<SolveSeed>,
     /// Routes this chip's solves through the retained scalar loop instead
     /// of the batched SoA kernel — the differential harness's oracle.
@@ -153,7 +152,6 @@ impl ChipSim {
             residual_guardband: config.policy.residual_guardband,
             transient_reserve_ohms: config.policy.transient_reserve_ohms,
             target: config.target_frequency,
-            chip_seed,
             solve_seed: None,
             #[cfg(feature = "scalar-oracle")]
             use_scalar_oracle: false,
@@ -162,58 +160,9 @@ impl ChipSim {
 
     /// Routes this chip through the retained scalar solve loop (the
     /// differential-test oracle) instead of the batched SoA kernel.
-    ///
-    /// Deliberately untouched by [`ChipSim::reset`], so an oracle chip can
-    /// be reused across runs like any other.
     #[cfg(feature = "scalar-oracle")]
     pub fn set_scalar_oracle(&mut self, enabled: bool) {
         self.use_scalar_oracle = enabled;
-    }
-
-    /// Rewinds this chip to its exactly-as-constructed state so one
-    /// construction can serve many runs.
-    ///
-    /// `config` and `assignment` must be the ones the chip was built from
-    /// (the immutable substrates — power model, PDN grid, V/F curve — are
-    /// kept, not rebuilt). Everything mutable is re-derived: the di/dt
-    /// noise stream, CPM calibration and injected stuck-at faults, the
-    /// activity traces, DPLL clocks, thermal state and the warm-solve seed.
-    /// A reset chip produces bitwise-identical results to a fresh one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when recalibration fails (it cannot for a
-    /// config that already built this chip).
-    pub fn reset(
-        &mut self,
-        config: &ServerConfig,
-        assignment: &Assignment,
-    ) -> Result<(), SimError> {
-        self.didt.reset(self.chip_seed);
-        self.bank.clear_stuck_faults();
-        calibration::calibrate_bank(
-            &mut self.bank,
-            config.policy.residual_guardband,
-            config.target_frequency,
-        )?;
-        for core in CoreId::all() {
-            let i = core.index();
-            self.states[i] = assignment.core_state(self.socket, core);
-            self.traces[i] = None;
-            self.ceffs[i] = 0.0;
-            if let Some(thread) = assignment.thread_at(self.socket, core) {
-                let thread_seed = seed_for_indexed(self.chip_seed, "trace", i);
-                self.traces[i] = Some(ActivityTrace::new(&thread.workload, thread_seed));
-                self.ceffs[i] = thread.workload.ceff_nf();
-            }
-        }
-        self.variability_mean = Self::assignment_variability(assignment, self.socket);
-        for d in &mut self.dplls {
-            d.set_frequency(config.target_frequency);
-        }
-        self.thermal.reset();
-        self.solve_seed = None;
-        Ok(())
     }
 
     /// Drops the warm-start seed so the next tick's solve starts cold from
@@ -746,36 +695,6 @@ mod tests {
                     gap * 1e3
                 );
             }
-        }
-    }
-
-    #[test]
-    fn reset_reproduces_fresh_chip_bitwise() {
-        let cfg = ServerConfig::power7plus(7);
-        let w = Catalog::power7plus().get("raytrace").unwrap().clone();
-        let a = Assignment::single_socket(&w, 3).unwrap();
-        let rail = Rail::new(cfg.nominal_voltage(), cfg.pdn.vrm_loadline);
-
-        let mut reused = ChipSim::new(&cfg, &a, SocketId::new(0).unwrap()).unwrap();
-        // Dirty every piece of mutable state, including a stuck-at fault.
-        for _ in 0..7 {
-            reused.tick(&rail, GuardbandMode::Overclock, window());
-        }
-        let cpm = p7_types::CpmId::new(CoreId::new(1).unwrap(), 0).unwrap();
-        reused
-            .bank_mut()
-            .monitor_mut(cpm)
-            .set_stuck_at(CpmReading::new(0));
-        reused.reset(&cfg, &a).unwrap();
-
-        let mut fresh = ChipSim::new(&cfg, &a, SocketId::new(0).unwrap()).unwrap();
-        for tick in 0..10 {
-            let tr = reused.tick(&rail, GuardbandMode::Undervolt, window());
-            let tf = fresh.tick(&rail, GuardbandMode::Undervolt, window());
-            assert_eq!(tr.power.0, tf.power.0, "tick {tick}");
-            assert_eq!(tr.core_voltages, tf.core_voltages, "tick {tick}");
-            assert_eq!(tr.cpm_sample, tf.cpm_sample, "tick {tick}");
-            assert_eq!(tr.cpm_sticky, tf.cpm_sticky, "tick {tick}");
         }
     }
 

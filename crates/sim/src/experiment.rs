@@ -195,11 +195,12 @@ impl Experiment {
     /// invalid.
     pub fn run(&self, assignment: &Assignment, mode: GuardbandMode) -> Result<Outcome, SimError> {
         let mut sim = self.build_simulation(assignment, mode)?;
-        self.run_with(&mut sim, mode)
+        let summary = sim.run(self.measure_ticks, self.warmup_ticks);
+        Ok(self.outcome_from_summary(assignment, summary))
     }
 
-    /// Builds a reusable [`Simulation`] for `assignment`; pair with
-    /// [`Experiment::run_with`] to amortize construction across modes.
+    /// Builds the [`Simulation`] that [`Experiment::run`] runs: this
+    /// runner's configuration and fault plan, `assignment` under `mode`.
     ///
     /// # Errors
     ///
@@ -217,27 +218,12 @@ impl Experiment {
         Ok(sim)
     }
 
-    /// Runs one experiment on an already-built simulation, resetting it to
-    /// its initial state under `mode` first. Because [`Simulation::reset`]
-    /// reproduces fresh construction bitwise, this returns exactly what
-    /// [`Experiment::run`] would for the simulation's assignment — without
-    /// re-deriving the chips.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when the simulation cannot be reset.
-    pub fn run_with(&self, sim: &mut Simulation, mode: GuardbandMode) -> Result<Outcome, SimError> {
-        sim.reset(mode)?;
-        let summary = sim.run(self.measure_ticks, self.warmup_ticks);
-        Ok(self.outcome_from_summary(sim.assignment(), summary))
-    }
-
     /// Derives the full [`Outcome`] (execution time, energy, EDP) from an
     /// already-measured [`RunSummary`] of `assignment` under this runner's
-    /// configuration. This is [`Experiment::run_with`]'s tail, split out
-    /// for callers that produce summaries some other way — the group
-    /// ticker ([`crate::group::run_group`]) measures many servers per
-    /// solve pass and finishes each one here.
+    /// configuration. This is [`Experiment::run`]'s tail, split out for
+    /// callers that produce summaries some other way — the group ticker
+    /// ([`crate::group::run_group`]) measures many servers per solve pass
+    /// and finishes each one here.
     #[must_use]
     pub fn outcome_from_summary(&self, assignment: &Assignment, summary: RunSummary) -> Outcome {
         let freq_ratio = if assignment.total_threads() > 0 {
@@ -338,24 +324,6 @@ mod tests {
             radix > swaptions + 2.0,
             "radix {radix}% vs swaptions {swaptions}%"
         );
-    }
-
-    #[test]
-    fn run_with_reuses_one_simulation_across_modes() {
-        let exp = Experiment::power7plus(9).with_ticks(10, 5);
-        let a = Assignment::single_socket(&workload("vips"), 3).unwrap();
-        let mut sim = exp
-            .build_simulation(&a, GuardbandMode::StaticGuardband)
-            .unwrap();
-        for mode in [
-            GuardbandMode::StaticGuardband,
-            GuardbandMode::Undervolt,
-            GuardbandMode::Overclock,
-        ] {
-            let reused = exp.run_with(&mut sim, mode).unwrap();
-            let fresh = exp.run(&a, mode).unwrap();
-            assert_eq!(reused, fresh, "mode {mode:?}");
-        }
     }
 
     #[test]

@@ -67,10 +67,9 @@ pub struct Simulation {
     firmware: FirmwareController,
     amesters: Vec<Amester>,
     time: Seconds,
-    /// Window counter driving the fault plan; replays from 0 on reset.
+    /// Window counter driving the fault plan.
     tick_index: usize,
-    /// Installed fault plan, if any. Survives [`Simulation::reset`] so a
-    /// reused scratch simulation replays the same faulted trajectory.
+    /// Installed fault plan, if any.
     faults: Option<FaultPlan>,
     /// Per-socket CPMs currently forced by the plan (bit = flat index),
     /// so releases clear exactly what the plan set and nothing else.
@@ -128,59 +127,12 @@ impl Simulation {
     /// Routes every solve in this simulation through the retained scalar
     /// loop instead of the batched SoA kernel — the oracle side of the
     /// differential equivalence harness.
-    ///
-    /// Deliberately survives [`Simulation::reset`], so an oracle
-    /// simulation can be reused across runs like any other.
     #[cfg(feature = "scalar-oracle")]
     pub fn set_scalar_oracle(&mut self, enabled: bool) {
         self.use_scalar_oracle = enabled;
         for chip in &mut self.chips {
             chip.set_scalar_oracle(enabled);
         }
-    }
-
-    /// Rewinds the simulation to its exactly-as-constructed state under a
-    /// (possibly different) guardband mode, without rebuilding the chips.
-    ///
-    /// Rails return to the static nominal set point with sensor biases
-    /// cleared, chips re-derive all mutable state (noise streams, CPM
-    /// calibration, stuck-at faults, traces, clocks, thermal and warm-solve
-    /// state), telemetry is cleared (capacity kept) and time restarts at
-    /// zero. A reset simulation produces bitwise-identical results to a
-    /// freshly built one, which is what lets sweep workers reuse one
-    /// construction across the three guardband modes of an assignment.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when chip re-derivation fails (it cannot for a
-    /// config that already built this simulation).
-    pub fn reset(&mut self, mode: GuardbandMode) -> Result<(), SimError> {
-        self.mode = mode;
-        let nominal = self.config.nominal_voltage();
-        for socket in SocketId::all() {
-            let rail = self.vrm.rail_mut(socket);
-            rail.set_set_point(nominal);
-            rail.inject_sensor_bias(Amps::ZERO);
-        }
-        let config = &self.config;
-        let assignment = &self.assignment;
-        for chip in &mut self.chips {
-            chip.reset(config, assignment)?;
-        }
-        for amester in &mut self.amesters {
-            amester.clear();
-        }
-        if let Some(sups) = &mut self.supervisors {
-            for sup in sups {
-                sup.reset();
-            }
-        }
-        self.time = Seconds(0.0);
-        self.tick_index = 0;
-        self.plan_cpm_masks = [0; NUM_SOCKETS];
-        self.margin_violations = 0;
-        self.pending_events.clear();
-        Ok(())
     }
 
     /// Reserves telemetry capacity for `windows` upcoming windows so the
@@ -271,9 +223,9 @@ impl Simulation {
         self.plan_cpm_masks = [0; NUM_SOCKETS];
     }
 
-    /// Installs a fault plan. Effects replay from window 0 of the next
-    /// run: the plan survives [`Simulation::reset`], so reused scratch
-    /// simulations reproduce the faulted trajectory bitwise.
+    /// Installs a fault plan: plan window `w` applies to simulation window
+    /// `w`, so a plan installed before the first run replays from its
+    /// start.
     ///
     /// # Errors
     ///
@@ -326,7 +278,7 @@ impl Simulation {
     }
 
     /// Drains the fault/supervisor events accumulated since the last
-    /// drain (or reset), in occurrence order.
+    /// drain, in occurrence order.
     ///
     /// Allocation-conscious callers that harvest every window should use
     /// [`Simulation::take_events_into`] instead: this convenience form
@@ -513,7 +465,7 @@ impl Simulation {
         let tick_index = self.tick_index;
         telemetry::sim_ticks().inc();
         // Fault effects for this window, resolved purely from the plan
-        // and the window index so resets and reruns replay them bitwise.
+        // and the window index so reruns replay them bitwise.
         let fault_windows: Option<[SocketWindow; NUM_SOCKETS]> = self
             .faults
             .as_ref()
@@ -912,34 +864,6 @@ mod tests {
             Assignment::single_socket,
         );
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn reset_matches_fresh_simulation_bitwise() {
-        let cfg = ServerConfig::power7plus(42);
-        let a = Assignment::single_socket(&workload("raytrace"), 4).unwrap();
-        let mut reused =
-            Simulation::new(cfg.clone(), a.clone(), GuardbandMode::StaticGuardband).unwrap();
-        // Dirty everything a run can touch, including injected faults.
-        let _ = reused.run(12, 6);
-        let s0 = SocketId::new(0).unwrap();
-        reused.inject_cpm_fault(
-            s0,
-            CpmId::new(CoreId::new(2).unwrap(), 1).unwrap(),
-            CpmReading::new(0),
-        );
-        reused.inject_rail_sensor_bias(s0, Amps(7.5));
-
-        for mode in [
-            GuardbandMode::StaticGuardband,
-            GuardbandMode::Undervolt,
-            GuardbandMode::Overclock,
-        ] {
-            reused.reset(mode).unwrap();
-            let summary = reused.run(12, 6);
-            let mut fresh = Simulation::new(cfg.clone(), a.clone(), mode).unwrap();
-            assert_eq!(summary, fresh.run(12, 6), "mode {mode:?}");
-        }
     }
 
     #[test]

@@ -25,11 +25,13 @@
 #![warn(missing_docs)]
 
 pub mod ids;
+pub mod memo;
 pub mod rng;
 pub mod units;
 
 pub use ids::{
     CoreId, CpmId, CpmUnit, SocketId, CORES_PER_SOCKET, CPMS_PER_CORE, CPMS_PER_SOCKET, NUM_SOCKETS,
 };
+pub use memo::LastEval;
 pub use rng::{seed_for, seed_for_indexed, SplitMix64};
 pub use units::{Amps, Celsius, Joules, MegaHertz, Ohms, Seconds, Volts, Watts};

@@ -95,3 +95,73 @@ fn config_round_trips_through_validation() {
     let cloned = cfg.clone();
     assert_eq!(cfg, cloned);
 }
+
+/// Nesting depth of a parsed JSON value: 0 for a scalar.
+fn nesting_depth(value: &serde::Value) -> usize {
+    match value {
+        serde::Value::Seq(items) => 1 + items.iter().map(nesting_depth).max().unwrap_or(0),
+        serde::Value::Map(entries) => {
+            1 + entries
+                .iter()
+                .map(|(_, v)| nesting_depth(v))
+                .max()
+                .unwrap_or(0)
+        }
+        _ => 0,
+    }
+}
+
+#[test]
+fn written_json_nests_far_below_the_parser_limit() {
+    // The deepest documents the workspace writes: a faulted sweep's
+    // journal segments and manifest, and a fleet spec. Each must parse
+    // back, with room to spare under the parser's nesting bound.
+    use ags::sim::{DurableOptions, SolveCache, SweepEngine, SweepRunOptions, SweepSpec};
+    use std::sync::Arc;
+
+    let dir = std::env::temp_dir().join(format!("ags-json-nesting-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = SweepSpec::new(vec!["vips".into()], vec![3])
+        .with_seed(5)
+        .with_ticks(4, 2)
+        .with_faults(ags::faults::FaultPlan::named("droop-storm").expect("scenario"));
+    let options = SweepRunOptions {
+        durable: DurableOptions::journaled(&dir),
+        ..SweepRunOptions::default()
+    };
+    let engine = SweepEngine::with_cache(1, Arc::new(SolveCache::new()));
+    let report = engine.run_durable(&spec, &options).expect("faulted sweep");
+
+    let mut documents = vec![ags::fleet::FleetSpec::power7plus().to_json()];
+    for entry in std::fs::read_dir(&dir).expect("journal dir") {
+        let text = std::fs::read_to_string(entry.expect("entry").path()).expect("read");
+        // A segment's first line is its checksum header.
+        let body = text
+            .split_once('\n')
+            .map_or(text.as_str(), |(_, body)| body);
+        documents.push(body.to_owned());
+    }
+    assert!(documents.len() > 2, "the sweep wrote segments");
+    let deepest = documents
+        .iter()
+        .map(|doc| nesting_depth(&serde::Value::parse_json(doc).expect("parses back")))
+        .max()
+        .unwrap();
+    assert!(
+        deepest * 8 <= serde::json::MAX_NESTING_DEPTH,
+        "deepest document nests {deepest} levels"
+    );
+
+    // The segments still resume the campaign byte-identically.
+    let resumed = SweepEngine::with_cache(1, Arc::new(SolveCache::new()))
+        .run_durable(
+            &spec,
+            &SweepRunOptions {
+                durable: DurableOptions::resumed(&dir),
+                ..SweepRunOptions::default()
+            },
+        )
+        .expect("resumed sweep");
+    assert_eq!(resumed.results_json(), report.results_json());
+    let _ = std::fs::remove_dir_all(&dir);
+}

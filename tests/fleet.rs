@@ -149,7 +149,7 @@ proptest! {
     /// traffic models and seeds, the serialized report is byte-identical
     /// at 1, 2 and 8 workers.
     #[test]
-    fn stealing_is_invisible_in_the_results(
+    fn worker_count_is_invisible_in_the_results(
         servers in 4usize..16,
         epochs in 2usize..6,
         traffic_idx in 0usize..3,

@@ -25,8 +25,8 @@
 use ags::control::GuardbandMode;
 use ags::faults::FaultPlan;
 use ags::sim::{
-    Assignment, Experiment, Outcome, Placement, SimEvent, SolveCache, SweepEngine, SweepSpec,
-    SOLVE_TOLERANCE,
+    Assignment, Experiment, Outcome, Placement, SimEvent, Simulation, SolveCache, SweepEngine,
+    SweepSpec, SOLVE_TOLERANCE,
 };
 use ags::workloads::Catalog;
 use proptest::prelude::*;
@@ -34,10 +34,15 @@ use std::sync::Arc;
 
 const POOL: [&str; 6] = ["raytrace", "lu_cb", "mcf", "gcc", "vips", "radix"];
 
-/// Runs one experiment through both solver paths and returns
 /// One solver path's observations: the outcome, the margin-violation
 /// count, and the drained event log.
 type RunObservation = (Outcome, u64, Vec<SimEvent>);
+
+/// [`Experiment::run`] on an already-built simulation of `exp`.
+fn run_sim(exp: &Experiment, sim: &mut Simulation) -> Outcome {
+    let summary = sim.run(exp.measure_ticks(), exp.warmup_ticks());
+    exp.outcome_from_summary(sim.assignment(), summary)
+}
 
 /// `(batched, oracle)` observations of the same experiment.
 fn run_both(
@@ -50,7 +55,7 @@ fn run_both(
             .build_simulation(assignment, mode)
             .expect("build simulation");
         sim.set_scalar_oracle(oracle);
-        let outcome = exp.run_with(&mut sim, mode).expect("run simulation");
+        let outcome = run_sim(exp, &mut sim);
         (outcome, sim.margin_violations(), sim.take_events())
     };
     (run(false), run(true))
@@ -178,12 +183,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(260))]
 
-    /// Warm/cold equivalence: `run_with` resets the simulation bitwise
-    /// between runs, so a reused simulation (cold first solve, warm
-    /// in-run seeds) must reproduce the fresh run on both paths — and
-    /// the paths must agree run after run.
+    /// Warm/cold equivalence: every round builds fresh simulations (cold
+    /// first solve, warm in-run seeds), which must agree across the two
+    /// paths and reproduce the first round bitwise.
     #[test]
-    fn reused_simulations_match_the_scalar_oracle(
+    fn repeated_runs_match_the_scalar_oracle(
         workload_idx in 0usize..6,
         cores in 1usize..=8,
         mode_idx in 0usize..3,
@@ -193,20 +197,19 @@ proptest! {
         let a = assignment(POOL[workload_idx], cores, Placement::Consolidated);
         let exp = Experiment::power7plus(seed).with_ticks(3, 1);
 
-        let mut batched = exp.build_simulation(&a, mode).expect("build");
-        let mut oracle = exp.build_simulation(&a, mode).expect("build");
-        oracle.set_scalar_oracle(true);
-
         let mut first = None;
         for round in 0..3 {
-            let ob = exp.run_with(&mut batched, mode).expect("batched run");
-            let oo = exp.run_with(&mut oracle, mode).expect("oracle run");
-            assert_outcomes_equivalent(&ob, &oo, "reused");
+            let mut batched = exp.build_simulation(&a, mode).expect("build");
+            let mut oracle = exp.build_simulation(&a, mode).expect("build");
+            oracle.set_scalar_oracle(true);
+            let ob = run_sim(&exp, &mut batched);
+            let oo = run_sim(&exp, &mut oracle);
+            assert_outcomes_equivalent(&ob, &oo, "repeated");
             prop_assert_eq!(&ob, &oo, "round {}: paths diverged", round);
             match &first {
                 None => first = Some(ob),
                 Some(f) => prop_assert_eq!(
-                    f, &ob, "round {}: reuse not bitwise-reset", round
+                    f, &ob, "round {}: rerun not bitwise-identical", round
                 ),
             }
         }
@@ -272,7 +275,7 @@ fn paper_grid_outcomes_are_bit_identical() {
 #[test]
 fn sweep_results_match_oracle_reruns_point_for_point() {
     // The sweep engine claims whole mode-lanes per assignment block and
-    // reuses scratch simulations across a block. Re-solving each grid
+    // solves a block's misses as one group. Re-solving each grid
     // point individually on the oracle path must reproduce the sweep's
     // stored outcome: the batched sweep machinery adds nothing beyond
     // the solver itself. The 3-mode spec also exercises lane blocks
@@ -295,7 +298,7 @@ fn sweep_results_match_oracle_reruns_point_for_point() {
         let exp = Experiment::power7plus(spec.point_seed(&r.point)).with_ticks(4, 2);
         let mut sim = exp.build_simulation(&a, r.point.mode).expect("build");
         sim.set_scalar_oracle(true);
-        let oracle = exp.run_with(&mut sim, r.point.mode).expect("oracle run");
+        let oracle = run_sim(&exp, &mut sim);
         assert_outcomes_equivalent(&r.outcome, &oracle, "sweep point");
         assert_eq!(r.outcome, oracle, "sweep point {:?} diverged", r.point);
     }
@@ -328,7 +331,7 @@ fn faulted_sweep_results_match_oracle_reruns() {
             .with_faults(plan.clone());
         let mut sim = exp.build_simulation(&a, r.point.mode).expect("build");
         sim.set_scalar_oracle(true);
-        let oracle = exp.run_with(&mut sim, r.point.mode).expect("oracle run");
+        let oracle = run_sim(&exp, &mut sim);
         assert_eq!(
             r.outcome, oracle,
             "faulted sweep point {:?} diverged",

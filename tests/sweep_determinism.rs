@@ -71,11 +71,10 @@ fn warm_cache_reproduces_cold_results_exactly() {
 
 #[test]
 fn mode_subsets_reproduce_full_grid_points() {
-    // Workers reuse one scratch simulation across all modes of an
-    // assignment block (chunk = modes.len()). A single-mode spec makes
-    // every block one point — scratch rebuilt per assignment — while the
-    // full spec resets the same simulation between modes. Both paths
-    // must produce identical outcomes point for point.
+    // Workers claim all modes of an assignment block at once (chunk =
+    // modes.len()) and solve them as one group. A single-mode spec makes
+    // every block one point, while the full spec groups the three modes.
+    // Both paths must produce identical outcomes point for point.
     let full = SweepSpec::new(vec!["raytrace".into(), "radix".into()], vec![2, 5]).with_ticks(5, 2);
     let full_report = engine(4).run(&full).expect("full sweep");
     for mode in MODES {
