@@ -391,16 +391,11 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Stable 64-bit fingerprint of the serialized plan, for cache keys.
+    /// 64-bit fingerprint of the plan's value tree
+    /// ([`p7_types::fingerprint`]), for in-memory cache keys.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let json = serde::json::to_string(self);
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for byte in json.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
+        p7_types::fingerprint(self)
     }
 
     /// Serializes the plan to deterministic JSON.

@@ -11,7 +11,7 @@
 //!    curves rise first and then plateau.
 
 use crate::config::PdnConfig;
-use p7_types::{Amps, CoreId, Volts, CORES_PER_SOCKET};
+use p7_types::{Amps, CoreId, Volts, ADJACENT_CORES, CORES_PER_SOCKET};
 use serde::{Deserialize, Serialize};
 
 /// Resistive model of one chip's on-die power grid.
@@ -68,9 +68,9 @@ impl PdnGrid {
         let mut out = [Volts::ZERO; CORES_PER_SOCKET];
         for core in CoreId::all() {
             let local_drop = self.config.ir_local * core_currents[core.index()];
-            let neighbor_current: Amps = CoreId::all()
-                .filter(|other| core.is_adjacent(*other))
-                .map(|other| core_currents[other.index()])
+            let neighbor_current: Amps = ADJACENT_CORES[core.index()]
+                .iter()
+                .map(|&other| core_currents[other])
                 .sum();
             let neighbor_drop = self.config.ir_neighbor * neighbor_current;
             out[core.index()] = chip_input - global_drop - local_drop - neighbor_drop;
@@ -95,9 +95,9 @@ impl PdnGrid {
     #[must_use]
     pub fn local_drop(&self, core: CoreId, core_currents: &[Amps; CORES_PER_SOCKET]) -> Volts {
         let own = self.config.ir_local * core_currents[core.index()];
-        let neighbor: Amps = CoreId::all()
-            .filter(|other| core.is_adjacent(*other))
-            .map(|other| core_currents[other.index()])
+        let neighbor: Amps = ADJACENT_CORES[core.index()]
+            .iter()
+            .map(|&other| core_currents[other])
             .sum();
         own + self.config.ir_neighbor * neighbor
     }

@@ -108,7 +108,7 @@ mod tests {
     fn stuck_monitor_fails_calibration() {
         let mut bank = CpmBank::with_seed(22);
         let id = CpmId::new(CoreId::new(2).unwrap(), 3).unwrap();
-        bank.monitor_mut(id).set_stuck_at(CpmReading::new(9));
+        bank.set_stuck_at(id, CpmReading::new(9));
         let err =
             calibrate_bank(&mut bank, Volts::from_millivolts(80.0), MegaHertz(4200.0)).unwrap_err();
         match err {

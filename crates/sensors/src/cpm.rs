@@ -39,21 +39,23 @@ impl CpmReading {
     }
 
     /// Creates a reading by clamping an arbitrary tap estimate, rounding
-    /// half away from zero like [`f64::round`].
+    /// half away from zero like [`f64::round`]: NaN and anything ≤ 0 read
+    /// 0, anything ≥ 11 reads 11.
     #[must_use]
     pub fn saturating(value: f64) -> Self {
-        if value.is_nan() || value <= 0.0 {
-            CpmReading::MIN
-        } else if value >= f64::from(CPM_TAPS - 1) {
-            CpmReading::MAX
-        } else {
-            // `round` is a libm call on the baseline x86-64 target. On
-            // (0, 11) the fraction `value - whole` is exact (Sterbenz: for
-            // whole ≥ 1, whole ≤ value < 2·whole), so testing it against
-            // one half rounds exactly as `round` does.
-            let whole = value as u8;
-            CpmReading(whole + u8::from(value - f64::from(whole) >= 0.5))
-        }
+        // Clamp first, then round without libm: on [0, 11] the fraction
+        // `clamped - whole` is exact (Sterbenz: for whole ≥ 1,
+        // whole ≤ clamped < 2·whole), so testing it against one half
+        // rounds exactly as `round` does. The clamp is
+        // `value.max(0.0).min(11.0)` (NaN fails `> 0` and becomes 0)
+        // written as comparisons, which a bank's rounding pass compiles
+        // to packed `maxpd` and `cmpltpd`.
+        let top = f64::from(CPM_TAPS - 1);
+        let floored = if value > 0.0 { value } else { 0.0 };
+        let clamped = if floored < top { floored } else { top };
+        let whole = clamped as i32;
+        let up = i32::from(clamped - f64::from(whole) >= 0.5);
+        CpmReading((whole + up) as u8)
     }
 
     /// The raw tap index.
@@ -107,6 +109,8 @@ pub struct CriticalPathMonitor {
 impl CriticalPathMonitor {
     /// The paper's average sensitivity: ~21 mV per tap at 4.2 GHz.
     pub const NOMINAL_SENSITIVITY_MV: f64 = 21.0;
+    /// The clock at which a monitor's peak sensitivity applies.
+    pub(crate) const PEAK_FREQUENCY: MegaHertz = MegaHertz(4200.0);
 
     /// Creates a monitor with nominal (variation-free) parameters.
     #[must_use]
@@ -124,11 +128,40 @@ impl CriticalPathMonitor {
         CriticalPathMonitor {
             id,
             peak_sensitivity: Volts::from_millivolts(sensitivity_mv.max(1.0)),
-            peak_frequency: MegaHertz(4200.0),
+            peak_frequency: Self::PEAK_FREQUENCY,
             zero_margin_tap: 0.0,
             path_skew: Volts::from_millivolts(skew_mv),
             stuck_at: None,
         }
+    }
+
+    /// Reassembles a monitor from a bank's planes, at the bank-wide
+    /// [`CriticalPathMonitor::PEAK_FREQUENCY`].
+    pub(crate) fn from_parts(
+        id: CpmId,
+        peak_sensitivity: Volts,
+        zero_margin_tap: f64,
+        path_skew: Volts,
+        stuck_at: Option<CpmReading>,
+    ) -> Self {
+        CriticalPathMonitor {
+            id,
+            peak_sensitivity,
+            peak_frequency: Self::PEAK_FREQUENCY,
+            zero_margin_tap,
+            path_skew,
+            stuck_at,
+        }
+    }
+
+    /// The mV-per-tap sensitivity at the peak frequency.
+    pub(crate) fn peak_sensitivity(&self) -> Volts {
+        self.peak_sensitivity
+    }
+
+    /// Per-CPM critical-path bias from process variation.
+    pub(crate) fn path_skew(&self) -> Volts {
+        self.path_skew
     }
 
     /// This monitor's identifier.
@@ -146,11 +179,6 @@ impl CriticalPathMonitor {
         self.peak_sensitivity * frequency_scale(f, self.peak_frequency)
     }
 
-    /// The frequency this monitor's peak sensitivity applies at.
-    pub(crate) fn peak_frequency(&self) -> MegaHertz {
-        self.peak_frequency
-    }
-
     /// Reads the detector for a given timing margin at frequency `f`.
     ///
     /// `margin` is the voltage slack above the minimum the circuit needs at
@@ -163,32 +191,6 @@ impl CriticalPathMonitor {
         }
         let taps = self.zero_margin_tap + (margin - self.path_skew) / self.sensitivity_at(f);
         CpmReading::saturating(taps)
-    }
-
-    /// Reads the detector at two margins sharing one clock — the
-    /// sample-mode and sticky-mode readouts of a firmware window — given
-    /// the clock's [`frequency_scale`] against this monitor's peak
-    /// frequency, which a bank evaluates once per core.
-    ///
-    /// Each component is bit-identical to [`CriticalPathMonitor::read`]
-    /// at the same clock (a stuck detector returns its stuck value for
-    /// both).
-    pub(crate) fn read_pair(
-        &self,
-        sample_margin: Volts,
-        sticky_margin: Volts,
-        scale: f64,
-    ) -> (CpmReading, CpmReading) {
-        if let Some(stuck) = self.stuck_at {
-            return (stuck, stuck);
-        }
-        let sensitivity = self.peak_sensitivity * scale;
-        let sample = self.zero_margin_tap + (sample_margin - self.path_skew) / sensitivity;
-        let sticky = self.zero_margin_tap + (sticky_margin - self.path_skew) / sensitivity;
-        (
-            CpmReading::saturating(sample),
-            CpmReading::saturating(sticky),
-        )
     }
 
     /// Shifts the zero-margin tap so that `margin` reads `target` at `f`
@@ -327,9 +329,6 @@ mod tests {
                 expected.0.to_bits(),
                 "{fmhz}"
             );
-            let scale = frequency_scale(f, c.peak_frequency);
-            let (m1, m2) = (Volts::from_millivolts(61.0), Volts::from_millivolts(23.0));
-            assert_eq!(c.read_pair(m1, m2, scale), (c.read(m1, f), c.read(m2, f)));
         }
     }
 

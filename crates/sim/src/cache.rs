@@ -12,9 +12,10 @@
 //! The cache key fingerprints everything a solve depends on: the
 //! experiment (server configuration and execution model), the
 //! assignment, the guardband mode, the tick counts and the fault plan.
-//! Callers hoist the two serialized fingerprints — [`experiment_fingerprint`]
+//! Callers hoist the two value-tree fingerprints — [`experiment_fingerprint`]
 //! and [`assignment_fingerprint`] — out of their loops; the rest of the
-//! key is read from the experiment here, so no caller builds a key.
+//! key is read from the experiment here, so no caller builds a key. Keys
+//! live only in this process: nothing stores them.
 //!
 //! Counting is per request, never per batch: a request answered by the
 //! probe counts one hit, and a solved one counts one miss when it inserts
@@ -27,11 +28,10 @@ use crate::assignment::Assignment;
 use crate::error::SimError;
 use crate::experiment::{Experiment, Outcome};
 use crate::group::run_group;
-use crate::journal::fnv64;
 use crate::server::Simulation;
 use crate::telemetry;
 use p7_control::GuardbandMode;
-use p7_types::NUM_SOCKETS;
+use p7_types::{fingerprint, NUM_SOCKETS};
 use serde::{de, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -132,6 +132,15 @@ impl SolveKey {
             warmup_ticks: request.experiment.warmup_ticks(),
             fault_fingerprint: request.experiment.fault_fingerprint(),
         }
+    }
+
+    /// Whether the two keys' simulations are built alike: every
+    /// component but the mode is equal.
+    fn same_build(&self, other: &SolveKey) -> bool {
+        SolveKey {
+            mode: other.mode,
+            ..self.clone()
+        } == *other
     }
 
     /// The shard this key lives in: a splitmix chain over every
@@ -244,7 +253,9 @@ impl SolveCache {
     /// journal-worthy ones — a hit costs nothing to reproduce).
     ///
     /// Each request's key is probed and each miss gets a freshly built
-    /// [`Simulation`]; every run of consecutive misses with equal tick
+    /// [`Simulation`] — built once per distinct key-without-mode and
+    /// cloned for the other modes, since a sweep block's requests differ
+    /// only in mode; every run of consecutive misses with equal tick
     /// counts then converges as one [`run_group`] of `LANES` solver lanes
     /// (`LANES / 2` two-socket servers per kernel pass).
     ///
@@ -268,9 +279,14 @@ impl SolveCache {
             match self.lookup(&key) {
                 Some(hit) => out.push((hit, false)),
                 None => {
-                    let sim = request
-                        .experiment
-                        .build_simulation(request.assignment, request.mode)?;
+                    // Nothing has ticked yet, so an earlier miss's
+                    // simulation is still exactly what a build would give.
+                    let sim = match misses.iter().find(|(_, k, _)| k.same_build(&key)) {
+                        Some((.., built)) => built.clone().with_mode(request.mode),
+                        None => request
+                            .experiment
+                            .build_simulation(request.assignment, request.mode)?,
+                    };
                     misses.push((slot, key, sim));
                 }
             }
@@ -473,7 +489,8 @@ impl CachedExperiment {
 }
 
 /// The solve-cache fingerprint of an experiment: its full server config
-/// (rails, curves, policy, seed) mixed with its execution model.
+/// (rails, curves, policy, seed) mixed with its execution model, hashed
+/// from their value trees by [`p7_types::fingerprint`].
 #[must_use]
 pub fn experiment_fingerprint(experiment: &Experiment) -> u64 {
     fingerprint(experiment.config()) ^ fingerprint(experiment.exec_model()).rotate_left(17)
@@ -484,10 +501,6 @@ pub fn experiment_fingerprint(experiment: &Experiment) -> u64 {
 #[must_use]
 pub fn assignment_fingerprint(assignment: &Assignment) -> u64 {
     fingerprint(assignment)
-}
-
-fn fingerprint<T: Serialize + ?Sized>(value: &T) -> u64 {
-    fnv64(serde::json::to_string(value).as_bytes())
 }
 
 /// SplitMix64: the mixer behind sweep point seeds and cache shard
@@ -586,6 +599,83 @@ mod tests {
         }
         assert_eq!(out[1].0.summary.ticks_measured, 6);
         assert_eq!(out[3].0.summary.ticks_measured, 3);
+    }
+
+    #[test]
+    fn a_block_builds_once_and_matches_direct_runs_healthy_and_faulted() {
+        // A sweep block's three requests differ only in mode: the call
+        // builds one simulation and clones it per mode, and every lane
+        // must still equal its own fresh `Experiment::run`.
+        let healthy = Experiment::power7plus(17).with_ticks(6, 3);
+        let storm = healthy
+            .clone()
+            .with_faults(p7_faults::FaultPlan::named("droop-storm").unwrap());
+        let a = assignment("bodytrack", 4);
+        for exp in [&healthy, &storm] {
+            let block = [
+                GuardbandMode::StaticGuardband,
+                GuardbandMode::Overclock,
+                GuardbandMode::Undervolt,
+            ]
+            .map(|mode| request(exp, &a, mode));
+            let cache = SolveCache::new();
+            let mut out = Vec::new();
+            cache.solve_group::<8>(&block, &mut out).unwrap();
+            for (r, (outcome, computed)) in block.iter().zip(&out) {
+                assert!(computed);
+                assert_eq!(**outcome, exp.run(&a, r.mode).unwrap(), "{:?}", r.mode);
+            }
+        }
+    }
+
+    #[test]
+    fn a_one_ulp_change_in_any_config_float_changes_the_fingerprint() {
+        fn floats(v: &Value, path: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+            match v {
+                Value::Float(_) => out.push(path.clone()),
+                Value::Seq(items) => walk(items.iter(), path, out),
+                Value::Map(entries) => walk(entries.iter().map(|(_, v)| v), path, out),
+                _ => {}
+            }
+        }
+        fn walk<'a>(
+            items: impl Iterator<Item = &'a Value>,
+            path: &mut Vec<usize>,
+            out: &mut Vec<Vec<usize>>,
+        ) {
+            for (i, item) in items.enumerate() {
+                path.push(i);
+                floats(item, path, out);
+                path.pop();
+            }
+        }
+        fn leaf<'a>(v: &'a mut Value, path: &[usize]) -> &'a mut Value {
+            path.iter().fold(v, |v, &i| match v {
+                Value::Seq(items) => &mut items[i],
+                Value::Map(entries) => &mut entries[i].1,
+                other => panic!("no child {i} in a {}", other.kind()),
+            })
+        }
+
+        let config = crate::ServerConfig::power7plus(29);
+        let tree = config.to_value();
+        let mut paths = Vec::new();
+        floats(&tree, &mut Vec::new(), &mut paths);
+        assert!(paths.len() > 20, "only {} floats", paths.len());
+        let base = fingerprint(&config);
+        for path in &paths {
+            let mut nudged = tree.clone();
+            let Value::Float(f) = leaf(&mut nudged, path) else {
+                unreachable!("paths lead to floats")
+            };
+            *f = f.next_up();
+            let changed = crate::ServerConfig::from_value(&nudged).unwrap();
+            assert_ne!(fingerprint(&changed), base, "float at {path:?}");
+        }
+        // Equal values fingerprint equally, also through a JSON round trip.
+        let back: crate::ServerConfig =
+            serde::json::from_str(&serde::json::to_string(&config)).unwrap();
+        assert_eq!(fingerprint(&back), base);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::solve::{LaneSolution, LaneSpec, SolveBatch};
 #[cfg(feature = "scalar-oracle")]
 use crate::solve::{MAX_SOLVE_ITERATIONS, SOLVE_TOLERANCE};
 use p7_control::{Dpll, GuardbandMode, VoltFreqCurve};
-use p7_pdn::{DidtModel, DropBreakdown, PdnGrid, Rail};
+use p7_pdn::{DidtModel, DidtSample, DropBreakdown, PdnGrid, Rail};
 use p7_power::{ChipPowerModel, CorePowerState, ThermalModel};
 use p7_sensors::{calibration, CpmBank, CpmReading};
 use p7_types::{
@@ -92,10 +92,12 @@ pub struct ChipSim {
 }
 
 /// The window state computed before the electrical solve: this tick's
-/// workload activities and the (possibly re-pinned) DPLL frequencies.
+/// random draws (workload activities and di/dt noise) and the (possibly
+/// re-pinned) DPLL frequencies.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TickPrelude {
     activities: [f64; CORES_PER_SOCKET],
+    noise: DidtSample,
     freqs: [MegaHertz; CORES_PER_SOCKET],
 }
 
@@ -228,7 +230,7 @@ impl ChipSim {
         window: Seconds,
         droop_scale: Option<(f64, f64)>,
     ) -> SocketTick {
-        let prelude = self.begin_window(mode);
+        let prelude = self.begin_window(mode, window);
         #[cfg(feature = "scalar-oracle")]
         if self.use_scalar_oracle {
             let solution = self.solve_scalar(rail, &prelude);
@@ -242,9 +244,10 @@ impl ChipSim {
     }
 
     /// Steps 1–2 of a window: draw this window's workload activity from
-    /// the traces and settle the DPLL frequencies (pinned to the DVFS
-    /// target in static mode).
-    pub(crate) fn begin_window(&mut self, mode: GuardbandMode) -> TickPrelude {
+    /// the traces and its di/dt noise (step 4's input, drawn here so that
+    /// a window's draws travel together), then settle the DPLL
+    /// frequencies (pinned to the DVFS target in static mode).
+    pub(crate) fn begin_window(&mut self, mode: GuardbandMode, window: Seconds) -> TickPrelude {
         // 1. Workload activity for this window.
         let mut activities = [0.0f64; CORES_PER_SOCKET];
         for (i, trace) in self.traces.iter_mut().enumerate() {
@@ -252,7 +255,38 @@ impl ChipSim {
                 activities[i] = trace.next_window();
             }
         }
+        // The noise stream is the di/dt model's own, and its inputs are
+        // fixed for the simulation, so drawing it before the solve
+        // yields the values the finish half used to draw.
+        let running = self.running_core_count();
+        let noise = self
+            .didt
+            .sample_window(running, self.variability_mean, window);
+        self.settle_clocks(mode, activities, noise)
+    }
 
+    /// [`ChipSim::begin_window`] for a chip whose draw streams are in the
+    /// same state as `twin`'s were before `twin` drew `drawn`: it takes
+    /// `twin`'s draws and stream states instead of drawing the same values
+    /// again, then settles its own clocks.
+    pub(crate) fn begin_window_as(
+        &mut self,
+        mode: GuardbandMode,
+        twin: &ChipSim,
+        drawn: &TickPrelude,
+    ) -> TickPrelude {
+        self.traces.clone_from(&twin.traces);
+        self.didt.clone_from(&twin.didt);
+        self.settle_clocks(mode, drawn.activities, drawn.noise)
+    }
+
+    /// Step 2 of a window, given its draws.
+    fn settle_clocks(
+        &mut self,
+        mode: GuardbandMode,
+        activities: [f64; CORES_PER_SOCKET],
+        noise: DidtSample,
+    ) -> TickPrelude {
         // 2. In static mode the clocks are pinned at the DVFS target.
         if mode == GuardbandMode::StaticGuardband {
             for d in &mut self.dplls {
@@ -261,7 +295,11 @@ impl ChipSim {
         }
         let freqs: [MegaHertz; CORES_PER_SOCKET] =
             std::array::from_fn(|i| self.dplls[i].frequency());
-        TickPrelude { activities, freqs }
+        TickPrelude {
+            activities,
+            noise,
+            freqs,
+        }
     }
 
     /// Step 3's inputs, packaged for one [`SolveBatch`] lane: the
@@ -357,8 +395,9 @@ impl ChipSim {
     }
 
     /// Steps 4–8 of a window, from a converged electrical solution: di/dt
-    /// noise, CPM readings, adaptive control, drop decomposition and
-    /// thermal integration. Stores the solution as the next window's
+    /// noise (drawn with the prelude, scaled here by any droop storm), CPM
+    /// readings, adaptive control, drop decomposition and thermal
+    /// integration. Stores the solution as the next window's
     /// warm-start seed.
     pub(crate) fn finish_window(
         &mut self,
@@ -379,11 +418,8 @@ impl ChipSim {
             core_voltages,
         });
 
-        // 4. di/dt noise for this window.
-        let running = self.running_core_count();
-        let mut noise = self
-            .didt
-            .sample_window(running, self.variability_mean, window);
+        // 4. di/dt noise for this window, drawn with the prelude.
+        let mut noise = prelude.noise;
         if let Some((typical_scale, worst_scale)) = droop_scale {
             noise.typical = Volts(noise.typical.0 * typical_scale);
             noise.worst = Volts((noise.worst.0 * worst_scale).max(noise.typical.0));
@@ -724,7 +760,7 @@ mod tests {
         for w in 0..6 {
             let preludes: Vec<TickPrelude> = chips
                 .iter_mut()
-                .map(|(chip, _)| chip.begin_window(mode))
+                .map(|(chip, _)| chip.begin_window(mode, window()))
                 .collect();
 
             let mut wide = SolveBatch::<4>::new();
@@ -766,7 +802,7 @@ mod tests {
         for mode in [GuardbandMode::Undervolt, GuardbandMode::Overclock] {
             let (mut chip, rail) = chip_for("raytrace", 6, 7);
             for w in 0..12 {
-                let prelude = chip.begin_window(mode);
+                let prelude = chip.begin_window(mode, window());
                 let scalar = chip.solve_scalar(&rail, &prelude);
                 let mut batch = SolveBatch::<1>::new();
                 batch.load(0, &chip.lane_spec(&rail, &prelude));

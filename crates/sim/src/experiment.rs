@@ -103,7 +103,7 @@ pub struct Experiment {
     warmup_ticks: usize,
     faults: Option<FaultPlan>,
     /// [`FaultPlan::fingerprint`] of `faults`, computed once: it joins
-    /// every solve-cache key, so it must not re-serialize the plan.
+    /// every solve-cache key, so it must not re-hash the plan.
     fault_fp: u64,
 }
 

@@ -5,9 +5,10 @@
 //! `SolveBatch<2>` leaves the SoA kernel's width on the table. The
 //! [`GroupTicker`] packs the sockets of up to `LANES / 2` *uncorrelated*
 //! servers into one batch: every member runs its pre-solve half
-//! (fault effects, rail snapshot, activity draw, DPLL settle), all lanes
-//! converge in one fixed-point pass, then every member finishes its window
-//! (noise, CPMs, control, thermal) from its own lanes.
+//! (fault effects, rail snapshot, activity and noise draws, DPLL settle),
+//! all lanes converge in one fixed-point pass, then every member finishes
+//! its window (CPMs, control, thermal) from its own lanes. Members that
+//! draw alike — a sweep block's mode clones — draw once between them.
 //!
 //! Lanes are arithmetically independent — the batched kernel reproduces
 //! the scalar loop bit for bit per lane regardless of its neighbours (the
@@ -86,12 +87,20 @@ impl<const LANES: usize> GroupTicker<LANES> {
 
         // Phase 1 — every member's pre-solve half. The per-server "tick"
         // span opens here and closes when the whole group is settled, so
-        // span counts and keys match solo ticking exactly.
-        for sim in sims.iter_mut() {
+        // span counts and keys match solo ticking exactly. A member that
+        // draws like an earlier one (a sweep block's modes are clones of
+        // one build) takes that member's draws instead of repeating them.
+        for g in 0..sims.len() {
+            let (earlier, rest) = sims.split_at_mut(g);
+            let sim = &mut *rest[0];
             self.spans
                 .push(trace::span("tick", sim.next_tick_index() as u64));
             let setup = sim.begin_tick();
-            let preludes = sim.begin_windows(&setup);
+            let twin = earlier.iter().position(|other| sim.draws_like(other));
+            let preludes = match twin {
+                Some(t) => sim.begin_windows_as(&setup, earlier[t], &self.preludes[t]),
+                None => sim.begin_windows(&setup),
+            };
             self.setups.push(setup);
             self.preludes.push(preludes);
         }
@@ -285,6 +294,30 @@ mod tests {
         let mut refs: Vec<&mut Simulation> = fleet.iter_mut().collect();
         let grouped = run_group::<16>(&mut refs, 10, 5);
         assert_eq!(grouped, solo_summaries(10, 5));
+    }
+
+    #[test]
+    fn clones_share_draws_in_a_group_and_keep_their_own_streams() {
+        // Clones of one build under other modes draw identically, so in a
+        // group the later ones take the first one's draws. Each must still
+        // run exactly like a simulation built for its mode, also after it
+        // leaves the group and draws for itself again.
+        let build = |mode| sim("bodytrack", 5, 23, mode);
+        let built = build(GuardbandMode::Undervolt);
+        let modes = [
+            GuardbandMode::Undervolt,
+            GuardbandMode::Overclock,
+            GuardbandMode::StaticGuardband,
+        ];
+        let mut clones = modes.map(|mode| built.clone().with_mode(mode));
+        let mut fresh = modes.map(build);
+        let mut refs: Vec<&mut Simulation> = clones.iter_mut().collect();
+        let grouped = run_group::<8>(&mut refs, 10, 4);
+        let solo: Vec<RunSummary> = fresh.iter_mut().map(|s| s.run(10, 4)).collect();
+        assert_eq!(grouped, solo);
+        for (clone, fresh) in clones.iter_mut().zip(&mut fresh) {
+            assert_eq!(clone.run(8, 0), fresh.run(8, 0), "{}", fresh.mode());
+        }
     }
 
     #[test]

@@ -20,9 +20,14 @@ use p7_types::{
     Amps, CoreId, CpmId, Seconds, SocketId, Volts, CORES_PER_SOCKET, CPMS_PER_CORE,
     CPMS_PER_SOCKET, NUM_SOCKETS,
 };
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The firmware/telemetry window length: 32 ms.
 pub const WINDOW: Seconds = Seconds(0.032);
+
+/// The next [`Simulation`] build's `draw_streams` id. Ids only compare
+/// for equality, so their order never reaches an output.
+static NEXT_DRAW_STREAMS: AtomicU64 = AtomicU64::new(0);
 
 /// The pre-solve state of one window, produced by
 /// [`Simulation::begin_tick`] and consumed by the solve strategy and
@@ -69,6 +74,10 @@ pub struct Simulation {
     time: Seconds,
     /// Window counter driving the fault plan.
     tick_index: usize,
+    /// Identifies the build whose random streams (activity traces, di/dt
+    /// noise) this simulation carries: unique per [`Simulation::new`],
+    /// shared by clones. See [`Simulation::draws_like`].
+    draw_streams: u64,
     /// Installed fault plan, if any.
     faults: Option<FaultPlan>,
     /// Per-socket CPMs currently forced by the plan (bit = flat index),
@@ -114,6 +123,7 @@ impl Simulation {
             amesters: (0..NUM_SOCKETS).map(|_| Amester::new()).collect(),
             time: Seconds(0.0),
             tick_index: 0,
+            draw_streams: NEXT_DRAW_STREAMS.fetch_add(1, Ordering::Relaxed),
             faults: None,
             plan_cpm_masks: [0; NUM_SOCKETS],
             supervisors: None,
@@ -122,6 +132,14 @@ impl Simulation {
             #[cfg(feature = "scalar-oracle")]
             use_scalar_oracle: false,
         })
+    }
+
+    /// This simulation under another guardband mode. Construction never
+    /// reads the mode, so a fresh simulation built for one mode becomes,
+    /// bit for bit, the one [`Simulation::new`] builds for `mode`.
+    pub(crate) fn with_mode(mut self, mode: GuardbandMode) -> Self {
+        self.mode = mode;
+        self
     }
 
     /// Routes every solve in this simulation through the retained scalar
@@ -331,9 +349,9 @@ impl Simulation {
                 if bit & mask != 0 {
                     let tap = window.cpm[flat].expect("mask bit implies an override");
                     let reading = CpmReading::new(tap).expect("plans are validated");
-                    bank.monitor_mut(cpm).set_stuck_at(Some(reading));
+                    bank.set_stuck_at(cpm, Some(reading));
                 } else {
-                    bank.monitor_mut(cpm).set_stuck_at(None);
+                    bank.set_stuck_at(cpm, None);
                 }
             }
         }
@@ -576,10 +594,32 @@ impl Simulation {
         false
     }
 
-    /// Step 1–2 of every socket's window (activity draw + DPLL settle),
-    /// for a caller that batches the solves itself.
+    /// Step 1–2 of every socket's window (activity and noise draws + DPLL
+    /// settle), for a caller that batches the solves itself.
     pub(crate) fn begin_windows(&mut self, setup: &TickSetup) -> [TickPrelude; NUM_SOCKETS] {
-        std::array::from_fn(|i| self.chips[i].begin_window(setup.modes[i]))
+        std::array::from_fn(|i| self.chips[i].begin_window(setup.modes[i], WINDOW))
+    }
+
+    /// Whether this simulation's next window draws exactly what `other`'s
+    /// next window draws: both carry the random streams of one build
+    /// (clones share them; the guardband mode never touches them) and
+    /// stand at the same window.
+    pub(crate) fn draws_like(&self, other: &Simulation) -> bool {
+        self.draw_streams == other.draw_streams && self.tick_index == other.tick_index
+    }
+
+    /// [`Simulation::begin_windows`] for a simulation that
+    /// [draws like](Simulation::draws_like) `twin`, given the preludes
+    /// `twin` just drew: takes `twin`'s draws instead of repeating them.
+    pub(crate) fn begin_windows_as(
+        &mut self,
+        setup: &TickSetup,
+        twin: &Simulation,
+        drawn: &[TickPrelude; NUM_SOCKETS],
+    ) -> [TickPrelude; NUM_SOCKETS] {
+        std::array::from_fn(|i| {
+            self.chips[i].begin_window_as(setup.modes[i], &twin.chips[i], &drawn[i])
+        })
     }
 
     /// One socket's solver lane inputs for this window.
@@ -624,8 +664,8 @@ impl Simulation {
 
     /// Solves every socket's window as one [`SolveBatch`]: both sockets'
     /// electrical fixed points advance in lock-step lanes of the SoA
-    /// kernel, then each chip finishes its window (noise, CPMs, control,
-    /// thermal) from its lane's solution. Lanes are independent, so this
+    /// kernel, then each chip finishes its window (CPMs, control, thermal)
+    /// from its lane's solution. Lanes are independent, so this
     /// is bitwise identical to ticking the sockets one at a time.
     fn solve_sockets(
         &mut self,
@@ -640,7 +680,7 @@ impl Simulation {
             });
         }
         let preludes: [TickPrelude; NUM_SOCKETS] =
-            std::array::from_fn(|i| self.chips[i].begin_window(modes[i]));
+            std::array::from_fn(|i| self.chips[i].begin_window(modes[i], WINDOW));
         let mut batch = SolveBatch::<NUM_SOCKETS>::new();
         for i in 0..NUM_SOCKETS {
             batch.load(i, &self.chips[i].lane_spec(&rails[i], &preludes[i]));

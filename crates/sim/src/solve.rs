@@ -23,7 +23,7 @@
 use crate::telemetry;
 use p7_pdn::{PdnGrid, Rail};
 use p7_power::{ChipPowerModel, CorePowerState};
-use p7_types::{Amps, Celsius, MegaHertz, Volts, Watts, CORES_PER_SOCKET};
+use p7_types::{Amps, Celsius, MegaHertz, Volts, Watts, ADJACENT_CORES, CORES_PER_SOCKET};
 
 /// Convergence tolerance of the fixed-point voltage↔power solve: iteration
 /// stops once no voltage moved by 0.05 mV, far below every physical effect
@@ -35,20 +35,6 @@ pub const SOLVE_TOLERANCE: Volts = Volts(5.0e-5);
 /// and a warm start usually in one or two; the cap only guards pathological
 /// configurations such as extreme loadlines.
 pub const MAX_SOLVE_ITERATIONS: usize = 16;
-
-/// Floorplan adjacency of the 2×4 core grid in ascending core order —
-/// the same neighbours (and the same summation order) as
-/// `CoreId::is_adjacent` produces inside `PdnGrid::core_voltages`.
-const ADJACENT: [&[usize]; CORES_PER_SOCKET] = [
-    &[1, 4],
-    &[0, 2, 5],
-    &[1, 3, 6],
-    &[2, 7],
-    &[0, 5],
-    &[1, 4, 6],
-    &[2, 5, 7],
-    &[3, 6],
-];
 
 /// Everything one lane's solve depends on, borrowed from the owning chip.
 ///
@@ -351,7 +337,7 @@ impl<const LANES: usize> SolveBatch<LANES> {
                 for core in 0..CORES_PER_SOCKET {
                     let local_drop = self.ir_local[lane] * self.amp[core][lane];
                     let mut neighbor = 0.0;
-                    for &adj in ADJACENT[core] {
+                    for &adj in ADJACENT_CORES[core] {
                         neighbor += self.amp[adj][lane];
                     }
                     let neighbor_drop = self.ir_neighbor[lane] * neighbor;
@@ -403,18 +389,6 @@ impl<const LANES: usize> SolveBatch<LANES> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p7_types::CoreId;
-
-    #[test]
-    fn adjacency_table_matches_core_id_floorplan() {
-        for core in CoreId::all() {
-            let expect: Vec<usize> = CoreId::all()
-                .filter(|other| core.is_adjacent(*other))
-                .map(CoreId::index)
-                .collect();
-            assert_eq!(ADJACENT[core.index()], expect.as_slice(), "core {core:?}");
-        }
-    }
 
     #[test]
     fn empty_batch_is_a_no_op() {

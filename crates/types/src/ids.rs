@@ -73,6 +73,21 @@ impl CoreId {
     }
 }
 
+/// Floorplan adjacency of the 2×4 core grid: entry `i` lists the cores
+/// [`CoreId::is_adjacent`] accepts for core `i`, in ascending core order,
+/// so sums over a core's neighbours read the table instead of scanning
+/// all eight cores, and add in the same order as that scan.
+pub const ADJACENT_CORES: [&[usize]; CORES_PER_SOCKET] = [
+    &[1, 4],
+    &[0, 2, 5],
+    &[1, 3, 6],
+    &[2, 7],
+    &[0, 5],
+    &[1, 4, 6],
+    &[2, 5, 7],
+    &[3, 6],
+];
+
 impl fmt::Display for CoreId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Core{}", self.0)
@@ -275,6 +290,17 @@ mod tests {
             for b in CoreId::all() {
                 assert_eq!(a.is_adjacent(b), b.is_adjacent(a));
             }
+        }
+    }
+
+    #[test]
+    fn adjacency_table_matches_the_floorplan_scan() {
+        for core in CoreId::all() {
+            let expect: Vec<usize> = CoreId::all()
+                .filter(|other| core.is_adjacent(*other))
+                .map(CoreId::index)
+                .collect();
+            assert_eq!(ADJACENT_CORES[core.index()], expect.as_slice(), "{core}");
         }
     }
 

@@ -24,13 +24,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod hash;
 pub mod ids;
 pub mod memo;
 pub mod rng;
 pub mod units;
 
+pub use hash::fingerprint;
 pub use ids::{
-    CoreId, CpmId, CpmUnit, SocketId, CORES_PER_SOCKET, CPMS_PER_CORE, CPMS_PER_SOCKET, NUM_SOCKETS,
+    CoreId, CpmId, CpmUnit, SocketId, ADJACENT_CORES, CORES_PER_SOCKET, CPMS_PER_CORE,
+    CPMS_PER_SOCKET, NUM_SOCKETS,
 };
 pub use memo::LastEval;
 pub use rng::{seed_for, seed_for_indexed, SplitMix64};

@@ -9,6 +9,28 @@
 use crate::profile::WorkloadProfile;
 use p7_types::{seed_for, SplitMix64};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
+
+/// Windows [`phase_sine`] serves from its table: a trace's start offset
+/// (below the 125-window period) plus a 90-window default run fit.
+const PHASE_TABLE_WINDOWS: usize = 256;
+
+/// The phase swing's sine at `window` of a `period`-window cycle,
+/// `sin((window / period) · τ)`. The input is the integer window index,
+/// not a random draw, so for the default period the first
+/// [`PHASE_TABLE_WINDOWS`] values come from a table built once with this
+/// same expression: bit for bit what a direct evaluation returns.
+fn phase_sine(window: u64, period: f64) -> f64 {
+    static TABLE: OnceLock<[f64; PHASE_TABLE_WINDOWS]> = OnceLock::new();
+    let direct = |w: u64| ((w as f64 / period) * std::f64::consts::TAU).sin();
+    if period.to_bits() == ActivityTrace::PHASE_PERIOD.to_bits()
+        && window < PHASE_TABLE_WINDOWS as u64
+    {
+        TABLE.get_or_init(|| std::array::from_fn(|w| direct(w as u64)))[window as usize]
+    } else {
+        direct(window)
+    }
+}
 
 /// A deterministic per-window activity generator for one thread.
 ///
@@ -65,9 +87,9 @@ impl ActivityTrace {
 
     /// Produces the activity factor for the next 32 ms window, in `[0, 1]`.
     pub fn next_window(&mut self) -> f64 {
-        let phase = (self.window as f64 / self.phase_period_windows) * std::f64::consts::TAU;
+        let sine = phase_sine(self.window, self.phase_period_windows);
         self.window += 1;
-        let swing = self.phase_amplitude * phase.sin();
+        let swing = self.phase_amplitude * sine;
         let noise = self.jitter * self.rng.normal();
         (self.base * (1.0 + swing + noise)).clamp(0.0, 1.0)
     }
@@ -121,6 +143,45 @@ mod tests {
             .filter(|_| a.next_window() == b.next_window())
             .count();
         assert!(same < 5);
+    }
+
+    /// `next_window` with the phase sine evaluated directly.
+    fn next_window_direct(t: &mut ActivityTrace) -> f64 {
+        let phase = (t.window as f64 / t.phase_period_windows) * std::f64::consts::TAU;
+        t.window += 1;
+        let swing = t.phase_amplitude * phase.sin();
+        let noise = t.jitter * t.rng.normal();
+        (t.base * (1.0 + swing + noise)).clamp(0.0, 1.0)
+    }
+
+    #[test]
+    fn phase_table_equals_the_direct_sine_bit_for_bit() {
+        let period = ActivityTrace::PHASE_PERIOD;
+        for w in 0..PHASE_TABLE_WINDOWS as u64 + 8 {
+            let direct = ((w as f64 / period) * std::f64::consts::TAU).sin();
+            assert_eq!(phase_sine(w, period).to_bits(), direct.to_bits(), "{w}");
+        }
+    }
+
+    #[test]
+    fn traces_past_the_table_and_at_other_periods_match_direct_evaluation() {
+        let mut served = trace("bodytrack", 5);
+        let mut direct = served.clone();
+        for w in 0..3 * PHASE_TABLE_WINDOWS {
+            let (a, b) = (served.next_window(), next_window_direct(&mut direct));
+            assert_eq!(a.to_bits(), b.to_bits(), "window {w}");
+        }
+        // A trace read back with another period bypasses the table.
+        let text = serde::json::to_string(&trace("radix", 9));
+        let period = "\"phase_period_windows\":125.0";
+        assert!(text.contains(period), "{text}");
+        let skewed = text.replace(period, "\"phase_period_windows\":97.0");
+        let mut served: ActivityTrace = serde::json::from_str(&skewed).unwrap();
+        let mut direct = served.clone();
+        for w in 0..PHASE_TABLE_WINDOWS {
+            let (a, b) = (served.next_window(), next_window_direct(&mut direct));
+            assert_eq!(a.to_bits(), b.to_bits(), "window {w}");
+        }
     }
 
     #[test]
