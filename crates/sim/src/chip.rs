@@ -3,7 +3,7 @@
 use crate::assignment::Assignment;
 use crate::config::ServerConfig;
 use crate::error::SimError;
-use crate::solve::{LaneSolution, LaneSpec, SolveBatch};
+use crate::solve::{LaneSolution, LaneSpec};
 #[cfg(feature = "scalar-oracle")]
 use crate::solve::{MAX_SOLVE_ITERATIONS, SOLVE_TOLERANCE};
 use p7_control::{Dpll, GuardbandMode, VoltFreqCurve};
@@ -65,7 +65,6 @@ struct SolveSeed {
 /// One POWER7+ chip in the simulation.
 #[derive(Debug, Clone)]
 pub struct ChipSim {
-    socket: SocketId,
     power_model: ChipPowerModel,
     grid: PdnGrid,
     didt: DidtModel,
@@ -85,10 +84,6 @@ pub struct ChipSim {
     transient_reserve_ohms: f64,
     target: MegaHertz,
     solve_seed: Option<SolveSeed>,
-    /// Routes this chip's solves through the retained scalar loop instead
-    /// of the batched SoA kernel — the differential harness's oracle.
-    #[cfg(feature = "scalar-oracle")]
-    use_scalar_oracle: bool,
 }
 
 /// The window state computed before the electrical solve: this tick's
@@ -139,7 +134,6 @@ impl ChipSim {
         let dplls = std::array::from_fn(|_| dpll.clone());
 
         Ok(ChipSim {
-            socket,
             power_model,
             grid,
             didt,
@@ -155,33 +149,19 @@ impl ChipSim {
             transient_reserve_ohms: config.policy.transient_reserve_ohms,
             target: config.target_frequency,
             solve_seed: None,
-            #[cfg(feature = "scalar-oracle")]
-            use_scalar_oracle: false,
         })
     }
 
-    /// Routes this chip through the retained scalar solve loop (the
-    /// differential-test oracle) instead of the batched SoA kernel.
-    #[cfg(feature = "scalar-oracle")]
-    pub fn set_scalar_oracle(&mut self, enabled: bool) {
-        self.use_scalar_oracle = enabled;
-    }
-
-    /// Drops the warm-start seed so the next tick's solve starts cold from
-    /// the rail set point, exactly as a freshly built chip would.
-    pub fn clear_solve_state(&mut self) {
+    /// Drops the warm-start seed so the next window's solve starts cold
+    /// from the rail set point, exactly as a freshly built chip would.
+    #[cfg(test)]
+    fn clear_solve_state(&mut self) {
         self.solve_seed = None;
     }
 
-    /// The socket this chip sits in.
-    #[must_use]
-    pub fn socket(&self) -> SocketId {
-        self.socket
-    }
-
     /// Number of powered-on cores.
-    #[must_use]
-    pub fn on_core_count(&self) -> usize {
+    #[cfg(test)]
+    fn on_core_count(&self) -> usize {
         self.states.iter().filter(|s| s.is_on()).count()
     }
 
@@ -196,51 +176,10 @@ impl ChipSim {
         &mut self.bank
     }
 
-    /// The CPM bank.
-    #[must_use]
-    pub fn bank(&self) -> &CpmBank {
-        &self.bank
-    }
-
     /// Whether a core is powered on this window.
     #[must_use]
     pub fn core_is_on(&self, core: usize) -> bool {
         self.states[core].is_on()
-    }
-
-    /// Advances this chip by one 32 ms window under the given rail and
-    /// mode, returning everything observed.
-    ///
-    /// This is the simulator's hot path: after the first tick it performs
-    /// no heap allocation (all working sets are fixed arrays, and the
-    /// voltage solve warm-starts from the previous window's solution).
-    pub fn tick(&mut self, rail: &Rail, mode: GuardbandMode, window: Seconds) -> SocketTick {
-        self.tick_scaled(rail, mode, window, None)
-    }
-
-    /// Like [`ChipSim::tick`] but with an injected di/dt droop storm:
-    /// `droop_scale` multiplies the window's (typical, worst) droops
-    /// after the noise stream is sampled, so the underlying random
-    /// sequence — and therefore every fault-free statistic — is
-    /// untouched. `None` is bitwise-identical to a plain tick.
-    pub fn tick_scaled(
-        &mut self,
-        rail: &Rail,
-        mode: GuardbandMode,
-        window: Seconds,
-        droop_scale: Option<(f64, f64)>,
-    ) -> SocketTick {
-        let prelude = self.begin_window(mode, window);
-        #[cfg(feature = "scalar-oracle")]
-        if self.use_scalar_oracle {
-            let solution = self.solve_scalar(rail, &prelude);
-            return self.finish_window(rail, mode, window, droop_scale, &prelude, &solution);
-        }
-        let mut batch = SolveBatch::<1>::new();
-        batch.load(0, &self.lane_spec(rail, &prelude));
-        batch.solve();
-        let solution = batch.lane(0);
-        self.finish_window(rail, mode, window, droop_scale, &prelude, &solution)
     }
 
     /// Steps 1–2 of a window: draw this window's workload activity from
@@ -399,6 +338,10 @@ impl ChipSim {
     /// readings, adaptive control, drop decomposition and thermal
     /// integration. Stores the solution as the next window's
     /// warm-start seed.
+    ///
+    /// `droop_scale` multiplies the window's (typical, worst) droops after
+    /// the noise is drawn, so the random sequence — and with it every
+    /// fault-free statistic — is untouched; `None` leaves them as drawn.
     pub(crate) fn finish_window(
         &mut self,
         rail: &Rail,
@@ -545,7 +488,7 @@ impl ChipSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solve::SOLVE_TOLERANCE;
+    use crate::solve::{SolveBatch, SOLVE_TOLERANCE};
     use p7_types::Ohms;
     use p7_workloads::Catalog;
 
@@ -562,11 +505,21 @@ mod tests {
         Seconds::from_millis(32.0)
     }
 
+    /// One window of `chip` on `rail`: the begin half, a one-lane solve
+    /// and the finish half.
+    fn tick_chip(chip: &mut ChipSim, rail: &Rail, mode: GuardbandMode) -> SocketTick {
+        let prelude = chip.begin_window(mode, window());
+        let mut batch = SolveBatch::<1>::new();
+        batch.load(0, &chip.lane_spec(rail, &prelude));
+        batch.solve();
+        chip.finish_window(rail, mode, window(), None, &prelude, &batch.lane(0))
+    }
+
     #[test]
     fn static_mode_pins_frequency() {
         let (mut chip, rail, mode) = setup(4, GuardbandMode::StaticGuardband);
         for _ in 0..5 {
-            let t = chip.tick(&rail, mode, window());
+            let t = tick_chip(&mut chip, &rail, mode);
             for f in t.core_freqs {
                 assert_eq!(f, MegaHertz(4200.0));
             }
@@ -578,7 +531,7 @@ mod tests {
         let (mut chip, rail, mode) = setup(1, GuardbandMode::Overclock);
         let mut last = None;
         for _ in 0..10 {
-            last = Some(chip.tick(&rail, mode, window()));
+            last = Some(tick_chip(&mut chip, &rail, mode));
         }
         let t = last.unwrap();
         // Fig. 4a: light load boosts ~8–11 % above 4.2 GHz.
@@ -592,7 +545,7 @@ mod tests {
             let (mut chip, rail, mode) = setup(k, GuardbandMode::Overclock);
             let mut f = 0.0;
             for _ in 0..10 {
-                f = chip.tick(&rail, mode, window()).core_freqs[0].0;
+                f = tick_chip(&mut chip, &rail, mode).core_freqs[0].0;
             }
             f
         };
@@ -607,7 +560,7 @@ mod tests {
             let (mut chip, rail, mode) = setup(k, GuardbandMode::StaticGuardband);
             let mut p = Watts::ZERO;
             for _ in 0..10 {
-                p = chip.tick(&rail, mode, window()).power;
+                p = tick_chip(&mut chip, &rail, mode).power;
             }
             p.0
         };
@@ -621,7 +574,7 @@ mod tests {
     #[test]
     fn active_core_sees_lowest_voltage() {
         let (mut chip, rail, mode) = setup(1, GuardbandMode::StaticGuardband);
-        let t = chip.tick(&rail, mode, window());
+        let t = tick_chip(&mut chip, &rail, mode);
         for i in 1..8 {
             assert!(t.core_voltages[0] < t.core_voltages[i]);
         }
@@ -630,7 +583,7 @@ mod tests {
     #[test]
     fn breakdown_total_matches_voltage_gap() {
         let (mut chip, rail, mode) = setup(4, GuardbandMode::StaticGuardband);
-        let t = chip.tick(&rail, mode, window());
+        let t = tick_chip(&mut chip, &rail, mode);
         for i in 0..8 {
             let passive_gap = (t.set_point - t.core_voltages[i]).millivolts();
             let passive = t.breakdown[i].passive().millivolts();
@@ -646,9 +599,9 @@ mod tests {
         // Sec. 4.1: "CPMs typically hover around an output value of 2 when
         // adaptive guardbanding is active".
         let (mut chip, rail, mode) = setup(4, GuardbandMode::Overclock);
-        let mut t = chip.tick(&rail, mode, window());
+        let mut t = tick_chip(&mut chip, &rail, mode);
         for _ in 0..10 {
-            t = chip.tick(&rail, mode, window());
+            t = tick_chip(&mut chip, &rail, mode);
         }
         let mean: f64 = t
             .cpm_sample
@@ -663,7 +616,7 @@ mod tests {
     fn sticky_readings_never_exceed_sample() {
         let (mut chip, rail, mode) = setup(6, GuardbandMode::StaticGuardband);
         for _ in 0..20 {
-            let t = chip.tick(&rail, mode, window());
+            let t = tick_chip(&mut chip, &rail, mode);
             for (st, sa) in t.cpm_sticky.iter().zip(&t.cpm_sample) {
                 assert!(st <= sa);
             }
@@ -677,7 +630,7 @@ mod tests {
         let a = Assignment::consolidated(&w, 4).unwrap();
         let mut chip = ChipSim::new(&cfg, &a, SocketId::new(1).unwrap()).unwrap();
         let rail = Rail::new(cfg.nominal_voltage(), cfg.pdn.vrm_loadline);
-        let t = chip.tick(&rail, GuardbandMode::StaticGuardband, window());
+        let t = tick_chip(&mut chip, &rail, GuardbandMode::StaticGuardband);
         assert_eq!(chip.on_core_count(), 0);
         // Only uncore plus gated leakage.
         assert!(t.power.0 < 30.0, "gated chip drew {} W", t.power.0);
@@ -691,7 +644,7 @@ mod tests {
         let a = Assignment::single_socket(&w, 8).unwrap();
         let mut chip = ChipSim::new(&cfg, &a, SocketId::new(0).unwrap()).unwrap();
         let rail = Rail::new(cfg.nominal_voltage(), Ohms(3.0e-3));
-        let t = chip.tick(&rail, GuardbandMode::StaticGuardband, window());
+        let t = tick_chip(&mut chip, &rail, GuardbandMode::StaticGuardband);
         assert!(t.power.is_finite());
         for v in t.core_voltages {
             assert!(v.is_finite() && v > Volts(0.5));
@@ -703,8 +656,8 @@ mod tests {
         let (mut a, rail, mode) = setup(4, GuardbandMode::Undervolt);
         let (mut b, rail2, _) = setup(4, GuardbandMode::Undervolt);
         for _ in 0..10 {
-            let ta = a.tick(&rail, mode, window());
-            let tb = b.tick(&rail2, mode, window());
+            let ta = tick_chip(&mut a, &rail, mode);
+            let tb = tick_chip(&mut b, &rail2, mode);
             assert_eq!(ta.power.0, tb.power.0);
             assert_eq!(ta.cpm_sample, tb.cpm_sample);
         }
@@ -721,8 +674,8 @@ mod tests {
         let (mut cold, rail2, _) = setup(4, GuardbandMode::Undervolt);
         for tick in 0..20 {
             cold.clear_solve_state();
-            let tw = warm.tick(&rail, mode, window());
-            let tc = cold.tick(&rail2, mode, window());
+            let tw = tick_chip(&mut warm, &rail, mode);
+            let tc = tick_chip(&mut cold, &rail2, mode);
             for i in 0..CORES_PER_SOCKET {
                 let gap = (tw.core_voltages[i] - tc.core_voltages[i]).0.abs();
                 assert!(
@@ -814,27 +767,6 @@ mod tests {
                 );
                 chip.finish_window(&rail, mode, window(), None, &prelude, &scalar);
             }
-        }
-    }
-
-    #[cfg(feature = "scalar-oracle")]
-    #[test]
-    fn oracle_chip_ticks_bitwise_identical_to_batched() {
-        // End-to-end over the full tick (traces, DPLLs, CPMs, droop):
-        // flipping a chip onto the scalar-oracle path must not change a
-        // single observable bit relative to the batched path.
-        let (mut batched, rail) = chip_for("vips", 5, 9);
-        let (mut oracle, rail2) = chip_for("vips", 5, 9);
-        oracle.set_scalar_oracle(true);
-        for tick in 0..15 {
-            let tb = batched.tick(&rail, GuardbandMode::Undervolt, window());
-            let to = oracle.tick(&rail2, GuardbandMode::Undervolt, window());
-            assert_eq!(tb.power.0, to.power.0, "tick {tick}");
-            assert_eq!(tb.set_point, to.set_point, "tick {tick}");
-            assert_eq!(tb.core_voltages, to.core_voltages, "tick {tick}");
-            assert_eq!(tb.core_freqs, to.core_freqs, "tick {tick}");
-            assert_eq!(tb.cpm_sample, to.cpm_sample, "tick {tick}");
-            assert_eq!(tb.cpm_sticky, to.cpm_sticky, "tick {tick}");
         }
     }
 }

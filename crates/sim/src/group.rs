@@ -10,13 +10,19 @@
 //! its window (CPMs, control, thermal) from its own lanes. Members that
 //! draw alike — a sweep block's mode clones — draw once between them.
 //!
+//! This is the only place a window is orchestrated: a solo server is a
+//! group of one ([`Simulation::tick`] ticks a `GroupTicker::<2>`, and
+//! [`Simulation::run`] is `run_group::<2>`).
+//!
 //! Lanes are arithmetically independent — the batched kernel reproduces
-//! the scalar loop bit for bit per lane regardless of its neighbours (the
-//! PR 6 differential harness's guarantee) — so a group tick is *bitwise
-//! identical* to ticking each server alone. That equivalence is what lets
-//! [`crate::cache::SolveCache::solve_group`] pack whichever requests
-//! missed the cache — a sweep block's modes, a fleet shard-epoch's
-//! servers — into one group without perturbing a single result.
+//! the scalar loop bit for bit per lane regardless of its neighbours or
+//! the batch's width (the tests below and `tests/solver_equivalence.rs`
+//! pin it) — so a server's windows come out the same in a group of any
+//! width. That
+//! independence is what lets [`crate::cache::SolveCache::solve_group`]
+//! pack whichever requests missed the cache — a sweep block's modes, a
+//! fleet shard-epoch's servers — into one group without perturbing a
+//! single result.
 
 use crate::chip::{SocketTick, TickPrelude};
 use crate::measure::{Accumulator, RunSummary};
@@ -25,28 +31,39 @@ use crate::solve::{LaneSolution, SolveBatch};
 use p7_obs::trace;
 use p7_types::NUM_SOCKETS;
 
-/// Reusable scratch for ticking a group of servers through one wide
-/// [`SolveBatch`]. Holds the batch and per-member staging buffers so a
-/// warm [`GroupTicker::tick_group`] performs no heap allocation.
-#[derive(Default)]
+/// Scratch for ticking a group of servers through one wide
+/// [`SolveBatch`]. Holds the batch and each member's staged window on the
+/// stack, so building a ticker and every [`GroupTicker::tick_group`]
+/// perform no heap allocation.
 pub struct GroupTicker<const LANES: usize> {
     batch: SolveBatch<LANES>,
-    spans: Vec<trace::Span>,
-    setups: Vec<TickSetup>,
-    preludes: Vec<[TickPrelude; NUM_SOCKETS]>,
+    /// Sized `LANES` although at most `LANES / 2` are used: a const
+    /// generic expression cannot size an array on stable Rust.
+    members: [Option<Member>; LANES],
+}
+
+/// One member's window between its begin and finish halves.
+struct Member {
+    /// The member's `"tick"` span, open until the whole group is settled.
+    _span: trace::Span,
+    setup: TickSetup,
+    preludes: [TickPrelude; NUM_SOCKETS],
+}
+
+impl<const LANES: usize> Default for GroupTicker<LANES> {
+    fn default() -> Self {
+        GroupTicker {
+            batch: SolveBatch::new(),
+            members: std::array::from_fn(|_| None),
+        }
+    }
 }
 
 impl<const LANES: usize> GroupTicker<LANES> {
-    /// A fresh ticker with staging capacity for a full group.
+    /// A fresh ticker.
     #[must_use]
     pub fn new() -> Self {
-        let cap = Self::capacity();
-        GroupTicker {
-            batch: SolveBatch::new(),
-            spans: Vec::with_capacity(cap),
-            setups: Vec::with_capacity(cap),
-            preludes: Vec::with_capacity(cap),
-        }
+        Self::default()
     }
 
     /// How many two-socket servers one batch can hold.
@@ -56,16 +73,16 @@ impl<const LANES: usize> GroupTicker<LANES> {
     }
 
     /// Advances every server in `sims` by one 32 ms window, solving all of
-    /// their sockets as lanes of a single batch. `sink(i, &ticks)` is
+    /// their sockets as lanes of a single batch. `sink(i, ticks)` is
     /// called once per server, in slice order, with its window's
     /// observations.
     ///
     /// Servers routed through the scalar oracle keep their scalar solve
-    /// (their lanes are simply left unoccupied), so a mixed group is still
-    /// bitwise-faithful to solo ticking. Groups smaller than
-    /// [`GroupTicker::capacity`] leave the remaining lanes masked out —
-    /// the kernel's occupancy masking makes a partial batch exact, not
-    /// approximate.
+    /// (their lanes are simply left unoccupied), so a mixed group gives
+    /// every server the windows it would get at any other width. Groups
+    /// smaller than [`GroupTicker::capacity`] leave the remaining lanes
+    /// masked out — the kernel's occupancy masking makes a partial batch
+    /// exact, not approximate.
     ///
     /// # Panics
     ///
@@ -73,7 +90,7 @@ impl<const LANES: usize> GroupTicker<LANES> {
     pub fn tick_group(
         &mut self,
         sims: &mut [&mut Simulation],
-        mut sink: impl FnMut(usize, &[SocketTick; NUM_SOCKETS]),
+        mut sink: impl FnMut(usize, [SocketTick; NUM_SOCKETS]),
     ) {
         assert!(
             sims.len() * NUM_SOCKETS <= LANES,
@@ -81,40 +98,41 @@ impl<const LANES: usize> GroupTicker<LANES> {
             sims.len(),
             sims.len() * NUM_SOCKETS,
         );
-        self.spans.clear();
-        self.setups.clear();
-        self.preludes.clear();
+        let members = &mut self.members[..sims.len()];
 
         // Phase 1 — every member's pre-solve half. The per-server "tick"
-        // span opens here and closes when the whole group is settled, so
-        // span counts and keys match solo ticking exactly. A member that
+        // span opens here and closes when the whole group is settled: one
+        // span per server-window, keyed by its window index. A member that
         // draws like an earlier one (a sweep block's modes are clones of
         // one build) takes that member's draws instead of repeating them.
         for g in 0..sims.len() {
             let (earlier, rest) = sims.split_at_mut(g);
             let sim = &mut *rest[0];
-            self.spans
-                .push(trace::span("tick", sim.next_tick_index() as u64));
+            let span = trace::span("tick", sim.next_tick_index() as u64);
             let setup = sim.begin_tick();
             let twin = earlier.iter().position(|other| sim.draws_like(other));
             let preludes = match twin {
-                Some(t) => sim.begin_windows_as(&setup, earlier[t], &self.preludes[t]),
+                Some(t) => sim.begin_windows_as(&setup, earlier[t], &staged(&members[t]).preludes),
                 None => sim.begin_windows(&setup),
             };
-            self.setups.push(setup);
-            self.preludes.push(preludes);
+            members[g] = Some(Member {
+                _span: span,
+                setup,
+                preludes,
+            });
         }
 
         // Phase 2 — one kernel pass over every non-oracle socket.
         self.batch.clear();
-        for (g, sim) in sims.iter().enumerate() {
+        for (g, (sim, member)) in sims.iter().zip(members.iter()).enumerate() {
             if sim.wants_scalar_oracle() {
                 continue;
             }
+            let member = staged(member);
             for s in 0..NUM_SOCKETS {
                 self.batch.load(
                     g * NUM_SOCKETS + s,
-                    &sim.lane_spec(s, &self.setups[g], &self.preludes[g][s]),
+                    &sim.lane_spec(s, &member.setup, &member.preludes[s]),
                 );
             }
         }
@@ -123,40 +141,36 @@ impl<const LANES: usize> GroupTicker<LANES> {
         }
 
         // Phase 3 — every member finishes and settles its own window.
-        for (g, sim) in sims.iter_mut().enumerate() {
-            let solutions: [LaneSolution; NUM_SOCKETS] = std::array::from_fn(|s| {
-                lane_solution(
-                    &self.batch,
-                    sim,
-                    g,
-                    s,
-                    &self.setups[g],
-                    &self.preludes[g][s],
-                )
-            });
-            let ticks = sim.finish_windows(&self.setups[g], &self.preludes[g], &solutions);
-            let ticks = sim.settle_tick(&self.setups[g], ticks);
-            sink(g, &ticks);
+        for (g, (sim, member)) in sims.iter_mut().zip(members.iter()).enumerate() {
+            let member = staged(member);
+            let solutions: [LaneSolution; NUM_SOCKETS] =
+                std::array::from_fn(|s| lane_solution(&self.batch, sim, g, s, member));
+            let ticks = sim.finish_windows(&member.setup, &member.preludes, &solutions);
+            sink(g, sim.settle_tick(&member.setup, ticks));
         }
-        self.spans.clear();
+        members.fill_with(|| None);
     }
 }
 
+/// A member staged by phase 1 of [`GroupTicker::tick_group`].
+fn staged(member: &Option<Member>) -> &Member {
+    member.as_ref().expect("phase 1 staged every member")
+}
+
 /// One socket's converged solution: its batch lane, or a scalar solve for
-/// oracle servers.
+/// oracle servers. The one place the oracle is chosen.
 fn lane_solution<const LANES: usize>(
     batch: &SolveBatch<LANES>,
     sim: &Simulation,
     group: usize,
     socket: usize,
-    setup: &TickSetup,
-    prelude: &TickPrelude,
+    member: &Member,
 ) -> LaneSolution {
     #[cfg(feature = "scalar-oracle")]
     if sim.wants_scalar_oracle() {
-        return sim.solve_scalar_socket(socket, setup, prelude);
+        return sim.solve_scalar_socket(socket, &member.setup, &member.preludes[socket]);
     }
-    let _ = (sim, setup, prelude);
+    let _ = (sim, member);
     batch.lane(group * NUM_SOCKETS + socket)
 }
 
@@ -164,8 +178,8 @@ fn lane_solution<const LANES: usize>(
 /// groups of [`GroupTicker::capacity`] (slice order defines the groups),
 /// returning each server's averaged [`RunSummary`] in slice order.
 ///
-/// Bitwise identical to calling [`Simulation::run`] on each server alone
-/// — the group is a throughput optimization, not a semantic change.
+/// Lanes are independent, so each summary is the same at any `LANES`:
+/// the width is a throughput choice, not a semantic one.
 ///
 /// # Panics
 ///
@@ -192,7 +206,7 @@ pub fn run_group<const LANES: usize>(
             .map(|sim| Accumulator::new(sim.config().nominal_voltage(), sim.running_mask()))
             .collect();
         for _ in 0..measure {
-            ticker.tick_group(chunk, |g, ticks| accs[g].add(ticks));
+            ticker.tick_group(chunk, |g, ticks| accs[g].add(&ticks));
         }
         summaries.extend(
             accs.into_iter()

@@ -35,7 +35,7 @@
 
 pub mod assignment;
 pub mod cache;
-pub mod chip;
+mod chip;
 pub mod config;
 pub mod error;
 pub mod exec;
@@ -58,6 +58,7 @@ pub use cache::{
     assignment_fingerprint, experiment_fingerprint, CacheStats, CachedExperiment, SolveCache,
     SolveRequest, DEFAULT_CACHE_CAPACITY,
 };
+pub use chip::SocketTick;
 pub use config::ServerConfig;
 pub use error::SimError;
 pub use experiment::{

@@ -1,7 +1,7 @@
 //! Structure-of-arrays batch solver for the per-window electrical solve.
 //!
 //! The fixed point `power ↔ current ↔ voltage` used to be computed one
-//! grid point at a time inside [`crate::chip::ChipSim`]. This module
+//! grid point at a time inside the per-socket chip model. This module
 //! factors that loop into a [`SolveBatch`]: rail parameters (R·I terms),
 //! effective capacitances, leakage sensitivities and the per-core voltage
 //! iterates of up to `LANES` independent solves are laid out in

@@ -74,7 +74,8 @@ macro_rules! histogram_accessor {
 }
 
 counter_accessor!(
-    /// Telemetry windows simulated (one per [`crate::server::Simulation::tick`]).
+    /// Telemetry windows simulated (one per server-window, in a group of
+    /// any width).
     sim_ticks,
     "ags_sim_ticks_total",
     "Telemetry windows simulated across all Simulation instances"
