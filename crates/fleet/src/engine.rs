@@ -35,7 +35,7 @@ use p7_sim::{
     assignment_fingerprint, experiment_fingerprint, Assignment, CacheStats, DurableOptions,
     Experiment, FailedPoint, Outcome, ServerConfig, SimError, SolveCache, SolveRequest,
 };
-use p7_types::{CORES_PER_SOCKET, NUM_SOCKETS};
+use p7_types::{splitmix, CORES_PER_SOCKET, NUM_SOCKETS};
 use p7_workloads::{Catalog, ExecutionModel, WorkloadProfile};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
@@ -579,15 +579,6 @@ fn place(workload: &WorkloadProfile, threads: usize) -> Result<Assignment, SimEr
     } else {
         Assignment::balanced_server(workload, threads)
     }
-}
-
-/// SplitMix64 — the same mixer the sweep module derives seeds with, so
-/// fleet server seeds are as decorrelated as sweep point seeds.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

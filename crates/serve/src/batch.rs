@@ -11,8 +11,9 @@
 //! core list: a point solved inside the merged grid is bit-identical
 //! to the same point solved by a standalone run of the member spec.
 
-use p7_sim::journal::{fnv64, FailedPoint};
+use p7_sim::journal::FailedPoint;
 use p7_sim::sweep::{PointResult, SweepReport, SweepSpec};
+use p7_types::fnv64;
 
 /// One enqueued sweep awaiting batching.
 #[derive(Debug, Clone)]

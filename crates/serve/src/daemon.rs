@@ -60,7 +60,7 @@ use crate::http::{
 };
 use crate::task::{now_ms, Task, TaskKind, TaskState, TaskStore, TaskUpdate};
 use crate::telemetry;
-use crate::tracestore::{fnv64, TraceStore};
+use crate::tracestore::TraceStore;
 use ags_harness::{rearm_cancel_on_signals, EXIT_INTERRUPTED};
 use p7_fleet::{FleetEngine, FleetRunOptions, FleetSpec};
 use p7_obs::timeseries::{wall_ms, Frame, Recorder};
@@ -72,6 +72,7 @@ use p7_sim::{
     std_fs, CancelToken, DurableOptions, DynFs, FailedPoint, ResilienceSpec, RetryPolicy, SimError,
     SweepEngine, SweepRunOptions, SweepSpec,
 };
+use p7_types::fnv64;
 use p7_workloads::Catalog;
 use serde::{Deserialize, Value};
 use std::io::{BufReader, Write as _};

@@ -12,7 +12,7 @@
 //! each daemon kept its own table, whichever thread drained the ring
 //! first would steal the other daemon's events. Instead every drain
 //! feeds the same store, and each daemon namespaces its trace ids with
-//! [`fnv64`] over its journal directory, so ids never collide and
+//! [`p7_types::fnv64`] over its journal directory, so ids never collide and
 //! lookups stay per-daemon.
 //!
 //! Retention is bounded: once more than [`TraceStore::DEFAULT_CAPACITY`]
@@ -30,19 +30,6 @@
 use p7_obs::trace::TraceEvent;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Mutex, MutexGuard, OnceLock};
-
-/// FNV-1a over `bytes`: the daemon's trace-id namespace hash (the same
-/// checksum family the journal substrate uses, picked for determinism
-/// and zero dependencies, not for collision resistance).
-#[must_use]
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
 
 /// Appends `value` to `buf` as an unsigned LEB128 varint.
 fn put_varint(buf: &mut Vec<u8>, mut value: u64) {
@@ -307,13 +294,6 @@ mod tests {
             span,
             ..TraceEvent::default()
         }
-    }
-
-    #[test]
-    fn fnv64_is_stable_and_input_sensitive() {
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv64(b"/tmp/a"), fnv64(b"/tmp/b"));
-        assert_eq!(fnv64(b"/tmp/a"), fnv64(b"/tmp/a"));
     }
 
     #[test]

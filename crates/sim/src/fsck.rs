@@ -25,9 +25,10 @@
 //! but never deleted.
 
 use crate::error::SimError;
-use crate::journal::{fnv64, read_manifest_with, MANIFEST_FILE};
+use crate::journal::{read_manifest_with, segment_number, MANIFEST_FILE};
 use crate::telemetry;
 use crate::vfs::{self, Fs};
+use p7_types::fnv64;
 use serde::Value;
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -277,13 +278,6 @@ pub fn repair(dir: &Path, fs: &dyn Fs) -> Result<FsckReport, SimError> {
         report.removed.push(name);
     }
     Ok(report)
-}
-
-fn segment_number(name: &str) -> Option<u64> {
-    name.strip_prefix("seg-")?
-        .strip_suffix(".json")?
-        .parse()
-        .ok()
 }
 
 /// Validates one segment down to the shape every journal kind shares,

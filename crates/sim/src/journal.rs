@@ -33,6 +33,7 @@ use crate::exec::{self, Schedule};
 use crate::telemetry;
 use crate::vfs::{self, DynFs, Fs};
 use p7_obs::trace;
+use p7_types::fnv64;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::marker::PhantomData;
@@ -543,7 +544,8 @@ pub fn read_manifest_with(dir: &Path, fs: &dyn Fs) -> Result<CampaignManifest, S
     })
 }
 
-fn segment_number(name: &str) -> Option<u64> {
+/// The sequence number of a `seg-%08d.json` file name.
+pub(crate) fn segment_number(name: &str) -> Option<u64> {
     name.strip_prefix("seg-")?
         .strip_suffix(".json")?
         .parse()
@@ -592,18 +594,6 @@ pub(crate) fn write_atomic(fs: &dyn Fs, path: &Path, bytes: &[u8]) -> Result<(),
     // Unix; elsewhere this is best-effort.
     let _ = fs.fsync(dir);
     Ok(())
-}
-
-/// FNV-1a, the workspace's standard cheap fingerprint (same constants as
-/// the sweep module's seed derivation).
-#[must_use]
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// The merged output of one durable run.

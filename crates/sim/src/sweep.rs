@@ -26,15 +26,16 @@
 
 use crate::assignment::Assignment;
 use crate::cache::{
-    assignment_fingerprint, experiment_fingerprint, splitmix, CacheStats, SolveCache, SolveRequest,
+    assignment_fingerprint, experiment_fingerprint, CacheStats, SolveCache, SolveRequest,
 };
 use crate::error::SimError;
 use crate::exec::{self, Schedule};
 use crate::experiment::{validate_run_windows, Experiment, Outcome};
-use crate::journal::{fnv64, run_durable_indexed, CampaignManifest, DurableOptions, FailedPoint};
+use crate::journal::{run_durable_indexed, CampaignManifest, DurableOptions, FailedPoint};
 use crate::telemetry;
 use p7_control::GuardbandMode;
 use p7_faults::FaultPlan;
+use p7_types::{fnv64, splitmix};
 use p7_workloads::{Catalog, WorkloadProfile};
 use serde::{de, Deserialize, Serialize, Value};
 use std::collections::HashMap;

@@ -171,8 +171,8 @@ pub use faulty::{FaultKind, FaultyFs, ALL_FAULTS};
 #[cfg(feature = "fault-injection")]
 mod faulty {
     use super::{Fs, StdFs};
-    use crate::journal::fnv64;
     use crate::telemetry;
+    use p7_types::fnv64;
     use std::io;
     use std::path::Path;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -1,9 +1,37 @@
-//! Process-local fingerprints of serializable values.
+//! FNV-1a hashing: of byte strings, and process-local fingerprints of
+//! serializable values.
 
 use serde::{Serialize, Value};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a 64 of `bytes`: the workspace's one cheap byte hash, behind
+/// journal checksums, campaign fingerprints, seed labels and trace-id
+/// namespaces. Picked for determinism and zero dependencies, not for
+/// collision resistance; its values are stored, so it never changes.
+///
+/// # Examples
+///
+/// ```
+/// use p7_types::fnv64;
+///
+/// assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+/// assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+/// ```
+#[must_use]
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    fnv64_continue(FNV_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a 64 hash over more bytes.
+pub(crate) fn fnv64_continue(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
 
 /// A 64-bit FNV-1a fingerprint of `value`'s [`Value`] tree.
 ///
@@ -74,15 +102,20 @@ fn feed_len(hash: &mut u64, len: usize) {
 }
 
 fn feed(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
+    *hash = fnv64_continue(*hash, bytes);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv64_is_stable_and_input_sensitive() {
+        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_ne!(fnv64(b"/tmp/a"), fnv64(b"/tmp/b"));
+        assert_eq!(fnv64(b"/tmp/a"), fnv64(b"/tmp/a"));
+        assert_eq!(fnv64(b"ab"), fnv64_continue(fnv64(b"a"), b"b"));
+    }
 
     #[test]
     fn structure_separates_values_with_equal_leaves() {

@@ -30,11 +30,11 @@ pub mod memo;
 pub mod rng;
 pub mod units;
 
-pub use hash::fingerprint;
+pub use hash::{fingerprint, fnv64};
 pub use ids::{
     CoreId, CpmId, CpmUnit, SocketId, ADJACENT_CORES, CORES_PER_SOCKET, CPMS_PER_CORE,
     CPMS_PER_SOCKET, NUM_SOCKETS,
 };
 pub use memo::LastEval;
-pub use rng::{seed_for, seed_for_indexed, SplitMix64};
+pub use rng::{seed_for, seed_for_indexed, splitmix, SplitMix64};
 pub use units::{Amps, Celsius, Joules, MegaHertz, Ohms, Seconds, Volts, Watts};

@@ -6,6 +6,7 @@
 //! [`seed_for`], so adding a new noise consumer never perturbs the stream
 //! of an existing one — experiments stay reproducible as the code evolves.
 
+use crate::hash::{fnv64, fnv64_continue};
 use serde::{Deserialize, Serialize};
 
 /// A small, fast, deterministic PRNG (Sebastiano Vigna's SplitMix64).
@@ -93,7 +94,7 @@ impl SplitMix64 {
 
     /// Forks an independent child stream labelled by `label`.
     pub fn fork(&mut self, label: &str) -> SplitMix64 {
-        SplitMix64::new(self.next_u64() ^ fnv1a(label.as_bytes()))
+        SplitMix64::new(self.next_u64() ^ fnv64(label.as_bytes()))
     }
 }
 
@@ -112,8 +113,7 @@ impl SplitMix64 {
 pub fn seed_for(master: u64, label: &str) -> u64 {
     // Mix the label hash into the master seed through one SplitMix64 step
     // so that nearby master seeds do not produce correlated streams.
-    let mut mixer = SplitMix64::new(master ^ fnv1a(label.as_bytes()));
-    mixer.next_u64()
+    splitmix(master ^ fnv64(label.as_bytes()))
 }
 
 /// Derives a deterministic seed from a master seed, a domain label and an
@@ -134,28 +134,28 @@ pub fn seed_for(master: u64, label: &str) -> u64 {
 /// ```
 #[must_use]
 pub fn seed_for_indexed(master: u64, label: &str, index: usize) -> u64 {
-    let hash = fnv1a_digits(fnv1a(label.as_bytes()), index);
-    let mut mixer = SplitMix64::new(master ^ hash);
-    mixer.next_u64()
+    splitmix(master ^ fnv64_digits(fnv64(label.as_bytes()), index))
 }
 
-/// FNV-1a 64-bit hash of a byte string.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_continue(0xcbf2_9ce4_8422_2325, bytes)
-}
-
-/// Continues an FNV-1a hash over more bytes.
-fn fnv1a_continue(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+/// One SplitMix64 step from state `z`: `SplitMix64::new(z).next_u64()`.
+/// The stateless mixer behind seed derivation, sweep point and fleet
+/// server seeds, and cache shard selection.
+///
+/// # Examples
+///
+/// ```
+/// use p7_types::{splitmix, SplitMix64};
+///
+/// assert_eq!(splitmix(42), SplitMix64::new(42).next_u64());
+/// ```
+#[must_use]
+pub fn splitmix(z: u64) -> u64 {
+    SplitMix64::new(z).next_u64()
 }
 
 /// Continues an FNV-1a hash over the decimal digits of `index`, exactly as
 /// if the number had been formatted into the hashed string.
-fn fnv1a_digits(hash: u64, index: usize) -> u64 {
+fn fnv64_digits(hash: u64, index: usize) -> u64 {
     // usize fits in 20 decimal digits; fill the buffer back to front.
     let mut digits = [0u8; 20];
     let mut i = digits.len();
@@ -168,7 +168,7 @@ fn fnv1a_digits(hash: u64, index: usize) -> u64 {
             break;
         }
     }
-    fnv1a_continue(hash, &digits[i..])
+    fnv64_continue(hash, &digits[i..])
 }
 
 #[cfg(test)]
