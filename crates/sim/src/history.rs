@@ -167,15 +167,16 @@ impl History {
         &self.events
     }
 
-    /// The window in which the rail set point of `socket` first settled
-    /// within `tolerance` of its final value — how long the firmware's
-    /// undervolt walk takes.
+    /// The window (its [`TickRecord::tick`]) in which the rail set point of
+    /// `socket` first settled within `tolerance` of its final value — how
+    /// long the firmware's undervolt walk takes.
     #[must_use]
     pub fn settling_window(&self, socket: usize, tolerance: Volts) -> Option<usize> {
         let last = self.records.last()?.sockets.get(socket)?.set_point;
         self.records
             .iter()
-            .position(|r| (r.sockets[socket].set_point - last).abs() <= tolerance)
+            .find(|r| (r.sockets[socket].set_point - last).abs() <= tolerance)
+            .map(|r| r.tick)
     }
 
     /// Serializes to CSV, one row per (window, socket).
